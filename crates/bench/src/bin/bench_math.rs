@@ -1,23 +1,25 @@
 //! Micro-benchmarks for the `ufc-math` data plane: Shoup/Harvey NTT
-//! kernels vs the pre-refactor reference kernels, the radix-2 /
-//! cache-blocked radix-4 / SIMD / IFMA kernel generations, per-op
-//! dispatched element-wise kernels, negacyclic multiplication, TFHE
-//! external products, limb-parallel RNS transforms and op-level
-//! work stealing.
+//! kernels vs the pre-refactor reference kernels, the radix-4 vs IFMA
+//! kernel generations, per-op dispatched element-wise kernels,
+//! negacyclic multiplication, TFHE external products, limb-parallel
+//! RNS transforms and op-level work stealing.
 //!
 //! ```text
 //! bench_math [--quick] [--out <path>]
 //! ```
 //!
 //! Emits `BENCH_math.json` (or `--out`) with one table per kernel
-//! family — including `ew_kernels` (scalar vs dispatched backend per
-//! element-wise op at a 59-bit and a 50-bit prime), `ew_dispatch`
-//! (the dispatch table itself: backend + static/measured provenance
-//! per op), `ntt_ifma` (SIMD vs IFMA generation at a 49-bit prime)
-//! and `op_scaling` (work-stealing over independent plane ops) — and
-//! a `headline` object recording the single-thread
-//! negacyclic-multiply speedup at the largest ring dimension.
-//! `--quick` restricts sizes and repetitions for CI smoke runs.
+//! family — including `ntt_kernels` (radix-4 vs IFMA per ring size at
+//! a 36-bit prime, with IFMA's paired median speedup and the kernel
+//! `auto_for` picks), `ew_kernels` (scalar loop vs dispatched backend
+//! for every element-wise route that leaves the portable unroll, at a
+//! 59-bit and a 50-bit prime), `ew_dispatch` (the static dispatch
+//! table itself), `trace_overhead` (instrumented vs raw NTT entry
+//! points as interleaved pairs) and `op_scaling` (work-stealing over
+//! independent plane ops) — and a `headline` object recording the
+//! single-thread negacyclic-multiply speedup at the largest ring
+//! dimension. `--quick` restricts sizes and repetitions for CI smoke
+//! runs.
 
 #![forbid(unsafe_code)]
 
@@ -75,6 +77,52 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Interleaved A/B timing: `rounds` rounds, each timing `calls`
+/// back-to-back calls of `a` and then of `b` (the order alternates per
+/// round, so neither side always runs second on a warm cache). Returns
+/// the per-round nanoseconds per call of each side; pairing round `i`
+/// of `a` with round `i` of `b` cancels host drift slower than a
+/// round.
+fn paired_ns(
+    rounds: usize,
+    calls: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Vec<f64>, Vec<f64>) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        t.elapsed().as_nanos() as f64 / calls as f64
+    };
+    a();
+    b();
+    let (mut ta, mut tb) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            ta.push(time(&mut a));
+            tb.push(time(&mut b));
+        } else {
+            tb.push(time(&mut b));
+            ta.push(time(&mut a));
+        }
+    }
+    (ta, tb)
+}
+
+/// Median of a nonempty sample.
+fn median(v: &[f64]) -> f64 {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let m = s.len() / 2;
+    if s.len() % 2 == 1 {
+        s[m]
+    } else {
+        (s[m - 1] + s[m]) / 2.0
+    }
+}
+
 fn random_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Poly {
     Poly::from_coeffs((0..n).map(|_| rng.gen_range(0..q)).collect(), q)
 }
@@ -97,6 +145,9 @@ fn main() {
         let base = if opts.quick { 1 << 21 } else { 1 << 24 };
         (base / n).clamp(3, 4096)
     };
+    // Interleaved pairs for the ratio and overhead tables: many short
+    // pairs, so the two halves of a pair see the same host state.
+    let pairs = if opts.quick { 401 } else { 2001 };
 
     let mut json = JsonReport::new("bench_math");
 
@@ -159,187 +210,94 @@ fn main() {
         );
     }
 
-    // ------------------------------- radix-2 vs radix-4 vs SIMD lanes
-    let avx2 = ufc_math::simd::avx2_available();
-    println!(
-        "\n## Negacyclic NTT kernel generations (radix-2 vs cache-blocked radix-4 vs SIMD, \
-         AVX2 {})\n",
-        if avx2 {
-            "active"
-        } else {
-            "absent: portable lanes"
-        }
-    );
-    println!(
-        "| N | fwd r2 (µs) | fwd r4 (µs) | fwd simd (µs) | fwd r4/simd speedup \
-         | inv r2 (µs) | inv r4 (µs) | inv simd (µs) | inv r4/simd speedup |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    let radix_table = json.table(
-        "ntt_radix",
-        &[
-            "n",
-            "forward_radix2_ns",
-            "forward_radix4_ns",
-            "forward_simd_ns",
-            "forward_speedup",
-            "forward_simd_speedup",
-            "inverse_radix2_ns",
-            "inverse_radix4_ns",
-            "inverse_simd_ns",
-            "inverse_speedup",
-            "inverse_simd_speedup",
-        ],
-    );
-    for &n in &sizes {
-        let q = generate_ntt_prime(n, 60).expect("60-bit NTT prime");
-        let ctx = NttContext::new(n, q);
-        let r = reps(n);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        let mut buf = data.clone();
-        let fwd2 = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Radix2, &mut buf);
-        });
-        let eval = buf.clone();
-        let fwd4 = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Radix4, &mut buf);
-        });
-        assert_eq!(buf, eval, "radix-4 forward diverged from radix-2");
-        let fwd_simd = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, eval, "simd forward diverged from radix-2");
-        let inv2 = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Radix2, &mut buf);
-        });
-        assert_eq!(buf, data, "radix-2 inverse failed to round-trip");
-        let inv4 = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Radix4, &mut buf);
-        });
-        assert_eq!(buf, data, "radix-4 inverse diverged from radix-2");
-        let inv_simd = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, data, "simd inverse diverged from radix-2");
-        radix_table.push(vec![
-            cell(n as u64),
-            cell(fwd2),
-            cell(fwd4),
-            cell(fwd_simd),
-            cell(fwd2 / fwd4),
-            cell(fwd4 / fwd_simd),
-            cell(inv2),
-            cell(inv4),
-            cell(inv_simd),
-            cell(inv2 / inv4),
-            cell(inv4 / inv_simd),
-        ]);
-        println!(
-            "| {n} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.1} | {:.1} | {:.1} | {:.2}x |",
-            fwd2 / 1e3,
-            fwd4 / 1e3,
-            fwd_simd / 1e3,
-            fwd4 / fwd_simd,
-            inv2 / 1e3,
-            inv4 / 1e3,
-            inv_simd / 1e3,
-            inv4 / inv_simd
-        );
-    }
-
-    // --------------------------------------- IFMA kernel generation
-    // The fifth generation only exists below 2^50, so it gets its own
-    // sweep at a 49-bit prime instead of a column in the 60-bit radix
-    // table. On hosts without AVX-512 IFMA the portable mirror lanes
-    // run — bit-identical, but the timing is then a fallback
+    // ----------------------------------- radix-4 vs IFMA, per ring size
+    // The committed evidence for `NttKernel::auto_for`'s crossover:
+    // both surviving lazy generations at the workloads' 36-bit limb
+    // width, timed as interleaved fwd+inv pairs so host drift lands on
+    // both sides of each ratio. On hosts without AVX-512 IFMA the
+    // portable mirror lanes run — bit-identical, but then a fallback
     // measurement, flagged by host.ifma in the report.
     let ifma_hw = ufc_math::simd::ifma_available();
     println!(
-        "\n## IFMA kernel generation at a 49-bit prime (AVX-512 IFMA {})\n",
+        "\n## NTT kernel generations: radix-4 vs IFMA at a 36-bit prime (AVX-512 IFMA {})\n",
         if ifma_hw {
             "active"
         } else {
             "absent: portable lanes"
         }
     );
-    println!(
-        "| N | fwd simd (µs) | fwd ifma (µs) | speedup | inv simd (µs) | inv ifma (µs) | speedup |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    let ifma_table = json.table(
-        "ntt_ifma",
+    println!("| N | radix4 fwd+inv (µs) | ifma fwd+inv (µs) | ifma speedup | auto_for |");
+    println!("|---|---|---|---|---|");
+    let kernel_table = json.table(
+        "ntt_kernels",
         &[
             "n",
-            "forward_simd_ns",
-            "forward_ifma_ns",
-            "forward_speedup",
-            "inverse_simd_ns",
-            "inverse_ifma_ns",
-            "inverse_speedup",
+            "bits",
+            "radix4_ns",
+            "ifma_ns",
+            "ifma_speedup",
+            "auto_kernel",
         ],
     );
-    for &n in &sizes {
-        let q = generate_ntt_prime(n, 49).expect("49-bit NTT prime");
-        let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Ifma)
-            .expect("49-bit prime fits the IFMA window");
-        let r = reps(n);
+    let kernel_sizes: Vec<usize> = if opts.quick {
+        vec![1 << 8, 1 << 12, 1 << 13]
+    } else {
+        vec![1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 13, 1 << 14]
+    };
+    for &n in &kernel_sizes {
+        let q = generate_ntt_prime(n, 36).expect("36-bit NTT prime");
+        let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference)
+            .expect("36-bit prime fits every generation");
         let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        let mut buf = data.clone();
-        let fwd_simd = time_ns(r, || {
+        let mut eval = data.clone();
+        ctx.forward_with(NttKernel::Radix4, &mut eval);
+        let mut check = data.clone();
+        ctx.forward_with(NttKernel::Ifma, &mut check);
+        assert_eq!(check, eval, "ifma forward diverged from radix-4 at n={n}");
+        ctx.inverse_with(NttKernel::Ifma, &mut check);
+        assert_eq!(check, data, "ifma inverse failed to round-trip at n={n}");
+        let round_trip = |kernel: NttKernel, buf: &mut Vec<u64>| {
             buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Simd, &mut buf);
-        });
-        let eval = buf.clone();
-        let fwd_ifma = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(NttKernel::Ifma, &mut buf);
-        });
-        assert_eq!(buf, eval, "ifma forward diverged from simd");
-        let inv_simd = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Simd, &mut buf);
-        });
-        assert_eq!(buf, data, "simd inverse failed to round-trip");
-        let inv_ifma = time_ns(r, || {
-            buf.copy_from_slice(&eval);
-            ctx.inverse_with(NttKernel::Ifma, &mut buf);
-        });
-        assert_eq!(buf, data, "ifma inverse diverged from simd");
-        ifma_table.push(vec![
+            ctx.forward_with(kernel, buf);
+            ctx.inverse_with(kernel, buf);
+        };
+        let (mut b4, mut bi) = (data.clone(), data.clone());
+        // Calls per sample: enough that the smallest ring's sample spans
+        // tens of microseconds, one call from N = 2^12 up.
+        let (r4, ri) = paired_ns(
+            pairs / 4,
+            ((1usize << 12) / n).max(1),
+            || round_trip(NttKernel::Radix4, &mut b4),
+            || round_trip(NttKernel::Ifma, &mut bi),
+        );
+        // Median over pairs of radix-4 time / IFMA time.
+        let ratios: Vec<f64> = r4.iter().zip(&ri).map(|(a, b)| a / b).collect();
+        let (r4_ns, ifma_ns, speedup) = (median(&r4), median(&ri), median(&ratios));
+        let auto = NttKernel::auto_for(n, q).name();
+        kernel_table.push(vec![
             cell(n as u64),
-            cell(fwd_simd),
-            cell(fwd_ifma),
-            cell(fwd_simd / fwd_ifma),
-            cell(inv_simd),
-            cell(inv_ifma),
-            cell(inv_simd / inv_ifma),
+            cell(36u64),
+            cell(r4_ns),
+            cell(ifma_ns),
+            cell(speedup),
+            cell(auto),
         ]);
         println!(
-            "| {n} | {:.1} | {:.1} | {:.2}x | {:.1} | {:.1} | {:.2}x |",
-            fwd_simd / 1e3,
-            fwd_ifma / 1e3,
-            fwd_simd / fwd_ifma,
-            inv_simd / 1e3,
-            inv_ifma / 1e3,
-            inv_simd / inv_ifma
+            "| {n} | {:.2} | {:.2} | {speedup:.2}x | {auto} |",
+            r4_ns / 1e3,
+            ifma_ns / 1e3
         );
     }
 
     // ------------------------------------------- element-wise kernels
     // The RNS plane's add/sub/hadamard/mac/scale go through the
-    // per-op dispatch layer; measure the *dispatched* entry points
-    // against the scalar loops they replaced, at one prime per vector
-    // window: 59 bits exercises the AVX2 limb-split window (too wide
-    // for IFMA), 50 bits brings the IFMA 52-bit Barrett window in.
-    // Because dispatch falls back to the portable unroll whenever a
-    // vector backend would lose on this host, every row's speedup is
-    // expected at >= 1.0 — the xtask validator gates on it.
+    // static per-op dispatch table; measure every dispatched route
+    // that leaves the portable unroll against the scalar loop it
+    // replaced, at one prime outside the IFMA window (59 bits) and
+    // one inside it (50 bits). A portable route is the scalar loop
+    // unrolled, so its ratio would only measure noise and is not a
+    // row. Every row's speedup is expected at >= 1.0 — the xtask
+    // validator gates on it.
     println!("\n## Element-wise plane kernels (scalar loop vs dispatched backend)\n");
     let mut ew_rows = Vec::new();
     let mut ew_dispatch_rows = Vec::new();
@@ -417,6 +375,9 @@ fn main() {
             for (op, scalar, simd_t) in rows {
                 let speedup = scalar / simd_t;
                 let route = simd::ew_route(op, q);
+                if route.backend == simd::EwBackend::Portable {
+                    continue;
+                }
                 let name = match op {
                     EwOp::Mul => "hadamard",
                     other => other.name(),
@@ -674,9 +635,10 @@ fn main() {
     // Every NTT entry point now opens a `ufc_trace` span. With no
     // recorder live that site must be free (one relaxed atomic load):
     // compare the instrumented dispatch (`forward`) against the raw
-    // kernel path (`forward_with`, no span site) at the smallest
-    // benched size, where fixed per-call costs are largest relative
-    // to the transform.
+    // kernel path (`forward_with`, no span site) as interleaved pairs.
+    // The overhead is the median of the per-pair differences over the
+    // median raw time, so drift between rounds cancels and the gate
+    // gives the same verdict on re-runs.
     println!("\n## Disabled-recorder tracing overhead\n");
     println!("| N | fwd instrumented (µs) | fwd raw (µs) | overhead (%) |");
     println!("|---|---|---|---|");
@@ -692,19 +654,25 @@ fn main() {
         );
         let q = generate_ntt_prime(n, 60).expect("60-bit NTT prime");
         let ctx = NttContext::new(n, q);
-        let r = reps(n).max(64);
         let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        let mut buf = data.clone();
-        let instrumented = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward(&mut buf);
-        });
-        let raw = time_ns(r, || {
-            buf.copy_from_slice(&data);
-            ctx.forward_with(ctx.kernel(), &mut buf);
-        });
-        // Best-of-reps jitter can make either side "win"; clamp at 0.
-        let pct = ((instrumented - raw) / raw * 100.0).max(0.0);
+        let (mut bi, mut br) = (data.clone(), data.clone());
+        // One call per sample, many pairs: the two halves of a pair
+        // run microseconds apart, so they see the same host state.
+        let (inst, raws) = paired_ns(
+            pairs,
+            1,
+            || {
+                bi.copy_from_slice(&data);
+                ctx.forward(&mut bi);
+            },
+            || {
+                br.copy_from_slice(&data);
+                ctx.forward_with(ctx.kernel(), &mut br);
+            },
+        );
+        let diffs: Vec<f64> = inst.iter().zip(&raws).map(|(i, r)| i - r).collect();
+        let (instrumented, raw) = (median(&inst), median(&raws));
+        let pct = median(&diffs) / raw * 100.0;
         worst_overhead_pct = worst_overhead_pct.max(pct);
         overhead_table.push(vec![
             cell(n as u64),
@@ -748,6 +716,7 @@ fn main() {
         }) / 4096.0;
         (t_mod, t_shoup)
     };
+    let avx2 = ufc_math::simd::avx2_available();
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -813,15 +782,13 @@ fn main() {
             trace_overhead_pct: worst_overhead_pct,
             mul_mod_ns,
             mul_shoup_lazy_ns: mul_shoup_ns,
-            simd_note: "Element-wise ops are routed per (op, modulus) by a dispatch table: \
-                        add/sub/scale take AVX2 statically; hadamard/mac take AVX-512 IFMA \
-                        (vpmadd52, 52-bit Barrett) for moduli below 2^50, else the AVX2 \
-                        limb-split multiply (q < 2^61) only when a one-shot calibration race \
-                        says it beats scalar Barrett on this host — hosts with a fast scalar \
-                        mulx route wide-modulus hadamard back to the portable unroll. The \
-                        dispatch floor makes speedup >= 1.0 an invariant; the >= 1.3x \
-                        hadamard/mac rows come from the IFMA window. UFC_SIMD_DISABLE \
-                        overrides routing for A/B runs."
+            simd_note: "Element-wise ops are routed per (op, modulus) by a static table: \
+                        add/sub/scale take AVX2; hadamard/mac take AVX-512 IFMA (vpmadd52, \
+                        52-bit Barrett) for moduli below 2^50; everything else runs the \
+                        portable unroll. ew_kernels rows cover only the non-portable routes; \
+                        the >= 1.3x hadamard/mac rows come from the IFMA window. NTTs run \
+                        radix-4, or IFMA from N = 2^13 up when the modulus fits (see \
+                        ntt_kernels). UFC_SIMD_DISABLE overrides routing for A/B runs."
                 .to_owned(),
         },
         headline: Headline {

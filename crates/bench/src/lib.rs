@@ -3,9 +3,8 @@
 //!
 //! Each binary in `src/bin/` reproduces one experiment; run e.g.
 //! `cargo run -p ufc-bench --bin fig10a_ckks_comparison --release`.
-//! The Criterion benches in `benches/` measure the implementation
-//! itself (NTT kernels, scheme operations, compiler and simulator
-//! throughput).
+//! The `bench_*` binaries measure the implementation itself and
+//! commit their numbers as `BENCH_*.json` at the workspace root.
 //!
 //! | binary | experiment |
 //! |---|---|

@@ -155,15 +155,24 @@ impl Evaluator {
 
     // ---------------------------------------------------------- decrypt
 
-    /// Decrypts to centered coefficients (exact CRT over up to three
-    /// limbs — ample for test-scale messages).
+    /// Decrypts to centered coefficients: an exact CRT over the longest
+    /// prefix of limbs whose product stays below `2^127`, the range a
+    /// centered `i128` reconstruction can hold (three limbs of 36 bits,
+    /// two of 60 — ample for test-scale messages).
     pub fn decrypt_coeffs(&self, ct: &Ciphertext, sk: &SecretKey) -> Vec<i64> {
         let _span = ufc_trace::span("ckks", "decrypt");
         let s = sk.rns_eval(&self.ctx, ct.limb_count());
         let mut m = ct.c1.mul(&s);
         m.add_assign(&ct.c0);
         let m = m.to_coeff(&self.ctx);
-        let use_limbs = m.limb_count().min(3);
+        let mut product = 1u128;
+        let use_limbs = self.ctx.q_moduli()[..m.limb_count()]
+            .iter()
+            .take_while(|&&q| {
+                product = product.saturating_mul(u128::from(q));
+                product < 1 << 127
+            })
+            .count();
         let basis = ufc_math::rns::RnsBasis::new(self.ctx.q_moduli()[..use_limbs].to_vec());
         (0..self.ctx.n())
             .map(|i| {
@@ -607,6 +616,22 @@ mod tests {
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn decrypt_with_wide_limbs_uses_a_fitting_crt_prefix() {
+        // Three 60-bit limbs multiply past 2^128; decryption must CRT
+        // over the two-limb prefix instead of overflowing.
+        let ctx = CkksContext::new(64, 3, 2, 2, 60, 40);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let keys = KeySet::generate(&ctx, &sk, &mut rng);
+        let ev = Evaluator::new(ctx);
+        let vals: Vec<f64> = (0..32).map(|i| (i as f64) * 0.125 - 2.0).collect();
+        let ct = ev.encrypt_real(&vals, &keys, &mut rng);
+        assert_eq!(ct.limb_count(), 3);
+        let out = ev.decrypt_real(&ct, &sk);
+        assert!(max_err(&out, &vals) < 1e-6, "err {}", max_err(&out, &vals));
     }
 
     #[test]

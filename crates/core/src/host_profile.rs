@@ -43,7 +43,7 @@ pub struct HostProfile {
     pub report: HostReport,
     /// The pipeline outputs (correctness flags, op trace, noise).
     pub run: HostKnnRun,
-    /// Measured-vs-static noise comparison, when the op trace had
+    /// Comparison of measured against static noise, when the op trace had
     /// CKKS ops for the static pass to bound.
     pub noise_drift: Option<NoiseDrift>,
 }

@@ -130,3 +130,20 @@ fn profile_cli_rejects_garbage_input() {
     assert!(!out.status.success());
     std::fs::remove_file(&tmp).ok();
 }
+
+#[test]
+fn profile_cli_exits_2_on_retired_kernel_names() {
+    // `radix2` and `simd` named kernel generations that no longer
+    // exist; the CLI must refuse them at startup instead of profiling
+    // under a fallback kernel.
+    for retired in ["radix2", "simd"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ufc-profile"))
+            .arg(fixture_path())
+            .env("UFC_NTT_KERNEL", retired)
+            .output()
+            .expect("run ufc-profile");
+        assert_eq!(out.status.code(), Some(2), "UFC_NTT_KERNEL={retired}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(retired), "stderr:\n{stderr}");
+    }
+}

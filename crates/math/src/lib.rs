@@ -4,18 +4,18 @@
 //! polynomial-ring arithmetic that the FHE schemes accelerated by UFC
 //! (MICRO 2024) are built on:
 //!
-//! * 64-bit modular arithmetic: plain, [Barrett][modops::Barrett],
-//!   [Shoup][modops::ShoupMul] and [Montgomery][mont::Montgomery]
-//!   reductions,
+//! * 64-bit modular arithmetic: plain, [Barrett][modops::Barrett]
+//!   and [Shoup][modops::ShoupMul] reductions (the paper's lanes use
+//!   Montgomery; DESIGN.md says why these use Barrett/Shoup),
 //! * NTT-friendly prime generation and primitive-root search
 //!   ([`prime`]),
-//! * the classical iterative number-theoretic transform with five
-//!   coexisting kernel generations — seed reference, Shoup/Harvey
-//!   radix-2, cache-blocked radix-4, 4-wide SIMD lanes ([`simd`],
-//!   AVX2 with a bit-identical portable fallback), and an AVX-512
-//!   IFMA generation (52-bit `vpmadd52` Barrett, moduli below 2⁵⁰) —
-//!   behind a per-dimension runtime dispatch ([`ntt`],
-//!   [`ntt::NttKernel`], `UFC_NTT_KERNEL`), and the
+//! * the classical iterative number-theoretic transform with three
+//!   kernel generations — the seed reference, the Shoup/Harvey
+//!   radix-4 kernel (cache-blocked at large `N`), and an AVX-512 IFMA
+//!   generation (52-bit `vpmadd52` lanes ([`simd`]) with a
+//!   bit-identical portable mirror, moduli below 2⁵⁰) — behind a
+//!   per-dimension runtime dispatch ([`ntt`], [`ntt::NttKernel`],
+//!   `UFC_NTT_KERNEL`), and the
 //!   **constant-geometry (Pease) NTT**
 //!   that UFC's interconnect co-design is built around ([`cgntt`]),
 //!   plus the double-precision FFT datapath of the Strix baseline
@@ -57,7 +57,6 @@ pub mod cgntt;
 pub mod fft;
 pub mod gadget;
 pub mod modops;
-pub mod mont;
 pub mod ntt;
 pub mod par;
 pub mod plane;
@@ -65,8 +64,8 @@ pub mod poly;
 pub mod prime;
 pub mod rns;
 pub mod sample;
-// The one sanctioned unsafe surface of the workspace: the AVX2
-// intrinsics backend behind runtime feature detection. `cargo xtask
+// The one sanctioned unsafe surface of the workspace: the AVX2 and
+// AVX-512 IFMA intrinsics backends behind runtime feature detection. `cargo xtask
 // lint` enforces that no other file carries `unsafe`.
 #[allow(unsafe_code)]
 pub mod simd;

@@ -90,8 +90,8 @@ pub fn inv_mod(a: u64, q: u64) -> Option<u64> {
 ///
 /// Precomputes `floor(2^128 / q)` so that reduction of a 128-bit product
 /// costs two multiplications — the structure UFC's modular multiplier
-/// lanes implement in hardware (the paper uses Montgomery; both are
-/// provided, see [`crate::mont`]).
+/// lanes implement in hardware (the paper uses Montgomery; DESIGN.md
+/// "Modular reduction" explains why the lanes here use Barrett/Shoup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Barrett {
     q: u64,

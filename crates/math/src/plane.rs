@@ -9,12 +9,10 @@
 //! occupies `data[i*n .. (i+1)*n]`), plus per-limb moduli and a
 //! [`Form`] tag. All operations are in place and fan out across limbs
 //! via [`crate::par::par_limbs`]; the element-wise kernels
-//! (add/sub/hadamard/mac/scale) go through [`crate::simd`]'s per-op
-//! dispatch, which routes each op to the fastest backend for this
-//! host and each limb's modulus — AVX-512 IFMA 52-bit Barrett below
-//! 2⁵⁰, AVX2 limb-split below 2⁶¹, or the bit-identical portable
-//! unroll when the scalar pipeline measures faster (the dispatch
-//! floor guarantees SIMD never loses to scalar). Limb-level fan-out
+//! (add/sub/hadamard/mac/scale) go through [`crate::simd`]'s static
+//! per-op dispatch table: add/sub/scale on AVX2, hadamard/mac on the
+//! AVX-512 IFMA 52-bit Barrett below 2⁵⁰, and the bit-identical
+//! portable unroll everywhere else. Limb-level fan-out
 //! composes with the op-level work-stealing of
 //! [`crate::par::par_ops`], which parallelizes *across* independent
 //! plane operations in a trace.

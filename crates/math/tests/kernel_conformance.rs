@@ -1,8 +1,7 @@
 //! Cross-kernel NTT conformance suite.
 //!
 //! The dispatch layer ([`NttKernel`]) promises that the reference,
-//! radix-2, cache-blocked radix-4, SIMD and IFMA kernels are
-//! interchangeable: **bit-identical** outputs, not merely congruent
+//! radix-4 and IFMA kernels are interchangeable: **bit-identical** outputs, not merely congruent
 //! ones, for the negacyclic forward/inverse transforms and for full
 //! negacyclic products. This suite pins that promise differentially
 //! across every generated prime for ring dimensions 2^10 … 2^14, and
@@ -19,25 +18,22 @@
 //! suite's 59-bit primes outright.
 
 use proptest::prelude::*;
-use ufc_math::modops::{
-    add_mod, ifma_modulus_ok, mul_mod, mul_shoup, mul_shoup_lazy, reduce_4q, shoup_precompute,
-    sub_mod,
-};
+use ufc_math::modops::{add_mod, ifma_modulus_ok, mul_mod, mul_shoup, shoup_precompute, sub_mod};
 use ufc_math::ntt::{NttContext, NttKernel};
 use ufc_math::plane::RnsPlane;
 use ufc_math::poly::{Form, Poly};
 use ufc_math::prime::{generate_ntt_prime, generate_ntt_primes};
 use ufc_math::simd;
-use ufc_math::simd::{mul_mod_barrett52, mul_mod_limbsplit, EwBackend};
+use ufc_math::simd::mul_mod_barrett52;
 
 /// Ring dimensions covered by the differential sweeps. 2^13 and 2^14
-/// exercise the genuinely blocked radix-4 schedule (dimension above
-/// `RADIX4_BLOCK`); the smaller sizes exercise its radix-2 fallback.
+/// exercise the cache-blocked schedule (`RADIX4_MIN_DIM` and up); the
+/// smaller sizes exercise its unblocked walk.
 const LOG_DIMS: [usize; 5] = [10, 11, 12, 13, 14];
 
 /// Prime widths sampled per dimension. 59 bits stresses the lazy
 /// (< 4q < 2^61) headroom of the Harvey butterflies; 50 bits sits at
-/// the top of the IFMA window (all five generations run); 30 bits
+/// the top of the IFMA window (all three generations run); 30 bits
 /// gives a completely different twiddle landscape.
 const PRIME_BITS: [u32; 4] = [30, 45, 50, 59];
 
@@ -179,7 +175,7 @@ fn negacyclic_mul_matches_schoolbook_oracle() {
             let a = Poly::pseudorandom(n, q, 7 + log_n as u64);
             let b = Poly::pseudorandom(n, q, 13 + log_n as u64);
             let want = schoolbook_negacyclic(a.coeffs(), b.coeffs(), q);
-            // 40-bit primes sit inside the IFMA window, so all five
+            // 40-bit primes sit inside the IFMA window, so all three
             // generations (portable lanes on non-IFMA hosts) face the
             // oracle here.
             for k in kernels_for(q) {
@@ -262,69 +258,16 @@ proptest! {
         }
     }
 
-    /// The SIMD butterfly/twist primitives on *denormal* lazy inputs —
-    /// representatives in `[q, 2q)` rather than canonical `[0, q)` —
-    /// must match the scalar Harvey formula word-for-word, because the
-    /// stage walk feeds them exactly such values between stages.
+    /// The dispatched hadamard/mac kernels on *denormal* `[q, 2q)`
+    /// multiplicands, across generated prime widths on both sides of
+    /// the IFMA window: every lane must be bit-identical to the scalar
+    /// Barrett oracle on the canonicalized inputs. The 52-bit Barrett
+    /// scalar mirror (`mul_mod_barrett52`) is pinned unconditionally —
+    /// it evaluates the exact per-lane integer formula of the IFMA
+    /// lanes, so its agreement transfers to them on any host; the
+    /// dispatched slices run those lanes whenever this host has them.
     #[test]
-    fn prop_simd_butterflies_match_scalar_formula_on_denormal_inputs(
-        seed in any::<u64>(), len in 1usize..41, reduce in any::<bool>()
-    ) {
-        let q = generate_ntt_prime(1 << 10, 59).unwrap();
-        let w = fill(seed ^ 1, len, 1, q);
-        let ws: Vec<u64> = w.iter().map(|&wi| shoup_precompute(wi, q)).collect();
-
-        // Twists accept any lazy representative; feed [q, 2q).
-        let a = fill(seed, len, q, 2 * q);
-        let mut got = a.clone();
-        simd::twist_lazy_slice(&mut got, &w, &ws, q);
-        for i in 0..len {
-            prop_assert_eq!(
-                got[i],
-                mul_shoup_lazy(a[i], w[i], ws[i], q),
-                "twist_lazy lane {}", i
-            );
-        }
-        let mut got = a.clone();
-        simd::twist_reduce_slice(&mut got, &w, &ws, q);
-        for i in 0..len {
-            prop_assert_eq!(
-                got[i],
-                mul_shoup(a[i], w[i], ws[i], q),
-                "twist_reduce lane {}", i
-            );
-        }
-
-        // Stage inputs may sit anywhere below 4q on the u leg and 2q on
-        // the multiplied leg; [q, 2q) is the denormal band both share.
-        let lo0 = fill(seed ^ 2, len, q, 2 * q);
-        let hi0 = fill(seed ^ 3, len, q, 2 * q);
-        let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
-        simd::harvey_stage(&mut lo, &mut hi, &w, &ws, q, reduce);
-        for i in 0..len {
-            let u = if lo0[i] >= 2 * q { lo0[i] - 2 * q } else { lo0[i] };
-            let t = mul_shoup_lazy(hi0[i], w[i], ws[i], q);
-            let (mut el, mut eh) = (u + t, u + 2 * q - t);
-            if reduce {
-                el = reduce_4q(el, q);
-                eh = reduce_4q(eh, q);
-            }
-            prop_assert_eq!(lo[i], el, "stage lo lane {}", i);
-            prop_assert_eq!(hi[i], eh, "stage hi lane {}", i);
-        }
-    }
-
-    /// The limb-split (AVX2) and 52-bit Barrett (IFMA) hadamard/mac
-    /// kernels on *denormal* `[q, 2q)` multiplicands, across generated
-    /// prime widths spanning both windows: every lane must be
-    /// bit-identical to the scalar Barrett oracle on the canonicalized
-    /// inputs. The scalar mirrors (`mul_mod_limbsplit`,
-    /// `mul_mod_barrett52`) are pinned unconditionally — they evaluate
-    /// the exact per-lane integer formula, so their agreement transfers
-    /// to the vector lanes on any host; the vector backends are pinned
-    /// additionally whenever this host can run them.
-    #[test]
-    fn prop_limbsplit_hadamard_mac_match_barrett_on_denormal_inputs(
+    fn prop_hadamard_mac_match_barrett_on_denormal_inputs(
         seed in any::<u64>(), len in 1usize..67, bits in 30u32..=60
     ) {
         let q = generate_ntt_prime(1 << 10, bits).unwrap();
@@ -340,12 +283,8 @@ proptest! {
         let mac_want: Vec<u64> =
             (0..len).map(|i| add_mod(c[i], mul_want[i], q)).collect();
 
-        for i in 0..len {
-            prop_assert_eq!(
-                mul_mod_limbsplit(a[i], b[i], q), mul_want[i],
-                "limb-split mirror lane {} at {} bits", i, bits
-            );
-            if ifma_modulus_ok(q) {
+        if ifma_modulus_ok(q) {
+            for i in 0..len {
                 prop_assert_eq!(
                     mul_mod_barrett52(a[i], b[i], q), mul_want[i],
                     "barrett52 mirror lane {} at {} bits", i, bits
@@ -353,50 +292,41 @@ proptest! {
             }
         }
 
-        for backend in [EwBackend::Avx2, EwBackend::Ifma] {
-            let mut got = a.clone();
-            if simd::mul_mod_slice_on(backend, &mut got, &b, q) {
-                prop_assert_eq!(
-                    &got, &mul_want,
-                    "{} hadamard on denormal inputs at {} bits", backend.name(), bits
-                );
-            }
-            let mut got = c.clone();
-            if simd::mac_mod_slice_on(backend, &mut got, &a, &b, q) {
-                prop_assert_eq!(
-                    &got, &mac_want,
-                    "{} mac on denormal inputs at {} bits", backend.name(), bits
-                );
-            }
-        }
+        let mut got = a.clone();
+        simd::mul_mod_slice(&mut got, &b, q);
+        prop_assert_eq!(&got, &mul_want, "hadamard on denormal inputs at {} bits", bits);
+        let mut got = c.clone();
+        simd::mac_mod_slice(&mut got, &a, &b, q);
+        prop_assert_eq!(&got, &mac_want, "mac on denormal inputs at {} bits", bits);
     }
 
-    /// Whole-transform conformance under proptest: the SIMD generation
+    /// Whole-transform conformance under proptest: the IFMA generation
     /// must equal the radix-4 generation bit-for-bit, forward and
-    /// inverse, including on denormal `[q, 2q)` input vectors (both
-    /// kernels tolerate any `< 2q` entry representative).
+    /// inverse, on both sides of the blocked-schedule threshold and on
+    /// denormal `[q, 2q)` input vectors (both kernels tolerate any
+    /// `< 2q` entry representative).
     #[test]
-    fn prop_simd_transform_bit_identical_to_radix4(
-        seed in any::<u64>(), log_n in 10usize..13, denormal in any::<bool>()
+    fn prop_ifma_transform_bit_identical_to_radix4(
+        seed in any::<u64>(), log_n in 10usize..14, denormal in any::<bool>()
     ) {
         let n = 1 << log_n;
-        let q = generate_ntt_prime(n, 59).unwrap();
+        let q = generate_ntt_prime(n, 49).unwrap();
         let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap();
         let (lo, hi) = if denormal { (q, 2 * q) } else { (0, q) };
         let data = fill(seed, n, lo, hi);
 
-        let mut s = data.clone();
-        ctx.forward_simd(&mut s);
+        let mut f = data.clone();
+        ctx.forward_with(NttKernel::Ifma, &mut f);
         let mut r = data.clone();
-        ctx.forward_radix4(&mut r);
-        prop_assert_eq!(&s, &r, "forward diverged at n=2^{}", log_n);
+        ctx.forward_with(NttKernel::Radix4, &mut r);
+        prop_assert_eq!(&f, &r, "forward diverged at n=2^{}", log_n);
 
         // Inverse operates on reduced evaluation-form vectors.
-        let mut si = s.clone();
-        ctx.inverse_simd(&mut si);
+        let mut fi = f.clone();
+        ctx.inverse_with(NttKernel::Ifma, &mut fi);
         let mut ri = r.clone();
-        ctx.inverse_radix4(&mut ri);
-        prop_assert_eq!(&si, &ri, "inverse diverged at n=2^{}", log_n);
+        ctx.inverse_with(NttKernel::Radix4, &mut ri);
+        prop_assert_eq!(&fi, &ri, "inverse diverged at n=2^{}", log_n);
     }
 }
 
@@ -417,7 +347,7 @@ fn rns_plane_transforms_bit_identical_across_kernels() {
             .collect();
         let coeff_plane = RnsPlane::from_polys(&polys, Form::Coeff);
         // A plane kernel must be valid for every residue modulus; the
-        // 50-bit primes here keep all five generations in play.
+        // 50-bit primes here keep all three generations in play.
         let kernels: Vec<NttKernel> = NttKernel::ALL
             .into_iter()
             .filter(|k| moduli.iter().all(|&q| k.supports_modulus(q)))

@@ -4,7 +4,8 @@
 //!
 //! * A malformed `UFC_NTT_KERNEL` must not abort library consumers
 //!   that merely build [`ufc_math::ntt::NttContext`]s — it warns once
-//!   on stderr and falls back to the automatic heuristic.
+//!   on stderr and falls back to the automatic heuristic. The names of
+//!   retired kernel generations (`radix2`, `simd`) are malformed too.
 //! * A *well-formed* `UFC_NTT_KERNEL=ifma` is strict: on a prime at
 //!   or above 2⁵⁰ it is a typed [`NttError::IfmaPrimeTooWide`], and
 //!   on a host without AVX-512 IFMA (simulated with
@@ -35,31 +36,37 @@ fn malformed_env_warns_once_and_falls_back() {
         child_build_contexts();
         return;
     }
-    let exe = std::env::current_exe().expect("current_exe");
-    let out = Command::new(exe)
-        .args([
-            "--exact",
-            "malformed_env_warns_once_and_falls_back",
-            "--nocapture",
-        ])
-        .env(CHILD_ENV, "1")
-        .env(KERNEL_ENV, "radix16-bogus")
-        .output()
-        .expect("spawn child test process");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "child aborted on malformed {KERNEL_ENV}\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    assert!(stdout.contains(CHILD_OK), "stdout:\n{stdout}");
-    // The warning names the offending value and fires exactly once
-    // even though the child builds two contexts.
-    let warnings = stderr
-        .matches("falling back to automatic kernel selection")
-        .count();
-    assert_eq!(warnings, 1, "stderr:\n{stderr}");
-    assert!(stderr.contains("radix16-bogus"), "stderr:\n{stderr}");
+    for value in ["radix16-bogus", "radix2", "simd"] {
+        let exe = std::env::current_exe().expect("current_exe");
+        let out = Command::new(exe)
+            .args([
+                "--exact",
+                "malformed_env_warns_once_and_falls_back",
+                "--nocapture",
+            ])
+            .env(CHILD_ENV, "1")
+            .env(KERNEL_ENV, value)
+            .output()
+            .expect("spawn child test process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "child aborted on {KERNEL_ENV}={value}\nstdout:\n{stdout}\nstderr:\n{stderr}"
+        );
+        // Both small rings fall back to the heuristic's radix-4.
+        assert!(
+            stdout.contains(&format!("{CHILD_OK}: kernels Radix4 Radix4")),
+            "{value}: stdout:\n{stdout}"
+        );
+        // The warning names the offending value and fires exactly once
+        // even though the child builds two contexts.
+        let warnings = stderr
+            .matches("falling back to automatic kernel selection")
+            .count();
+        assert_eq!(warnings, 1, "{value}: stderr:\n{stderr}");
+        assert!(stderr.contains(value), "stderr:\n{stderr}");
+    }
 }
 
 /// Child mode: acts like a library consumer that builds two NTT

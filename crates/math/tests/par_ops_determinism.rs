@@ -64,8 +64,8 @@ fn run_trace(threads: usize, n: usize, moduli: &[u64], ops: usize) -> Vec<RnsPla
 #[test]
 fn trace_results_bit_identical_for_one_and_many_workers() {
     let n = 1 << 10;
-    // 50-bit moduli keep every dispatch backend (portable, AVX2
-    // limb-split, IFMA) eligible on hosts that have them.
+    // 50-bit moduli keep every dispatch backend (portable, AVX2,
+    // IFMA) eligible on hosts that have them.
     let moduli = generate_ntt_primes(n, 50, 2);
     let ops = 13;
     let serial = run_trace(1, n, &moduli, ops);

@@ -11,9 +11,9 @@
 //!   rotations differ from plain ones only by key-switching noise).
 //!
 //! When `UFC_NTT_KERNEL` is set (the CI kernel matrix), the sweep runs
-//! once under that ambient kernel; otherwise it iterates all five
+//! once under that ambient kernel; otherwise it iterates all three
 //! kernels itself (the 31/36-bit moduli here sit inside the IFMA
-//! window, so the fifth generation runs everywhere — portable mirror
+//! window, so the IFMA generation runs everywhere — portable mirror
 //! lanes on hosts without AVX-512 IFMA).
 
 use rand::rngs::StdRng;

@@ -57,7 +57,7 @@ pub struct HostKnnRun {
     /// The CKKS-op trace the evaluator accumulated across the run
     /// (arithmetic stage + extraction), for the static noise pass.
     pub trace: Trace,
-    /// Measured decrypt-side precision of the CKKS arithmetic stage,
+    /// Decrypt-side precision measured on the CKKS arithmetic stage,
     /// in bits (`-log2(max slot error)`).
     pub measured_precision_bits: f64,
     /// `(gate name, homomorphic output, plaintext expectation)` for

@@ -617,24 +617,8 @@ fn bench_math(quick: bool) -> ExitCode {
         eprintln!("xtask bench-math: report has no tables");
         return ExitCode::FAILURE;
     }
-    // The kernel-dispatch contract: the radix-2 vs radix-4 vs SIMD
-    // comparison table must be present and populated.
-    let radix_table = tables
-        .iter()
-        .find(|t| t.get("name").and_then(serde::Value::as_str) == Some("ntt_radix"));
-    let radix_rows = radix_table
-        .and_then(|t| t.get("rows"))
-        .and_then(serde::Value::as_array)
-        .map(<[serde::Value]>::len)
-        .unwrap_or(0);
-    if radix_rows == 0 {
-        eprintln!("xtask bench-math: report has no populated `ntt_radix` table");
-        return ExitCode::FAILURE;
-    }
-    // SIMD-lane coverage: on AVX2 hosts the report must carry the simd
-    // NTT columns and the element-wise lane-kernel table. Non-AVX2
-    // hosts still run the portable lanes, but the committed report is
-    // only held to the vector contract where vectors exist.
+    // Element-wise lane coverage: on AVX2 hosts add/sub/scale route to
+    // AVX2, so the report must carry their `ew_kernels` rows.
     let avx2 = report
         .get("host")
         .and_then(|h| h.get("avx2"))
@@ -681,16 +665,6 @@ fn bench_math(quick: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if avx2 {
-        let has_simd_col = radix_table
-            .and_then(|t| t.get("columns"))
-            .and_then(serde::Value::as_array)
-            .is_some_and(|cols| cols.iter().any(|c| c.as_str() == Some("forward_simd_ns")));
-        if !has_simd_col {
-            eprintln!(
-                "xtask bench-math: AVX2 host but `ntt_radix` has no `forward_simd_ns` column"
-            );
-            return ExitCode::FAILURE;
-        }
         let ew_rows = tables
             .iter()
             .find(|t| t.get("name").and_then(serde::Value::as_str) == Some("ew_kernels"))
@@ -724,21 +698,91 @@ fn bench_math(quick: bool) -> ExitCode {
             .and_then(serde::Value::as_array)
             .and_then(|cols| cols.iter().position(|c| c.as_str() == Some(col)))
     };
-    if table_rows("ew_dispatch").is_empty() {
-        eprintln!("xtask bench-math: report has no populated `ew_dispatch` table");
-        return ExitCode::FAILURE;
-    }
-    // Routing regression gate: dispatch guarantees SIMD (or its
-    // portable fallback) never loses to the scalar loop, so every
-    // element-wise row must hold speedup >= 1.0 on committed full
-    // runs. --quick smoke runs keep a jitter allowance: their few
-    // repetitions make equal-code-path ratios noisy.
-    let ew_floor = if quick { 0.90 } else { 1.0 };
     let ifma = report
         .get("host")
         .and_then(|h| h.get("ifma"))
         .and_then(serde::Value::as_bool)
         .unwrap_or(false);
+    // The kernel-crossover contract: `ntt_kernels` times radix-4 and
+    // IFMA per ring size and records the kernel `auto_for` picks. Every
+    // row must name the pick the dispatch rule implies for this host
+    // (IFMA from `RADIX4_MIN_DIM` up, given the hardware; the 36-bit
+    // prime always fits), and on full runs IFMA must measure at least
+    // as fast as radix-4 wherever it is picked.
+    let kernel_rows = table_rows("ntt_kernels");
+    let (Some(n_col), Some(speedup_col), Some(auto_col)) = (
+        col_index("ntt_kernels", "n"),
+        col_index("ntt_kernels", "ifma_speedup"),
+        col_index("ntt_kernels", "auto_kernel"),
+    ) else {
+        eprintln!(
+            "xtask bench-math: report has no `ntt_kernels` table with n/ifma_speedup/auto_kernel"
+        );
+        return ExitCode::FAILURE;
+    };
+    if kernel_rows.is_empty() {
+        eprintln!("xtask bench-math: report has no populated `ntt_kernels` table");
+        return ExitCode::FAILURE;
+    }
+    for row in &kernel_rows {
+        let cell = |i: usize| row.as_array().and_then(|c| c.get(i)).cloned();
+        let (Some(n), Some(speedup), Some(auto)) = (
+            cell(n_col).and_then(|v| v.as_u64()),
+            cell(speedup_col).and_then(|v| v.as_f64()),
+            cell(auto_col).and_then(|v| v.as_str().map(str::to_owned)),
+        ) else {
+            eprintln!("xtask bench-math: malformed `ntt_kernels` row {row:?}");
+            return ExitCode::FAILURE;
+        };
+        let n = n as usize;
+        let want = if ifma && n >= ufc_math::ntt::RADIX4_MIN_DIM {
+            "ifma"
+        } else {
+            "radix4"
+        };
+        if auto != want {
+            eprintln!(
+                "xtask bench-math: `ntt_kernels` N={n} picks {auto}, dispatch rule says {want}"
+            );
+            return ExitCode::FAILURE;
+        }
+        if !quick && auto == "ifma" && speedup < 1.0 {
+            eprintln!(
+                "xtask bench-math: auto_for picks ifma at N={n} but it measured a \
+                 {speedup:.2}x speedup over radix-4"
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+    // Per-op dispatch contract: the report must carry the dispatch
+    // table on every host — the portable-only route is a dispatch
+    // decision too — and every route is static: the same host and
+    // modulus always take the same route.
+    let dispatch_rows = table_rows("ew_dispatch");
+    if dispatch_rows.is_empty() {
+        eprintln!("xtask bench-math: report has no populated `ew_dispatch` table");
+        return ExitCode::FAILURE;
+    }
+    let Some(src_col) = col_index("ew_dispatch", "source") else {
+        eprintln!("xtask bench-math: `ew_dispatch` has no `source` column");
+        return ExitCode::FAILURE;
+    };
+    for row in &dispatch_rows {
+        let source = row
+            .as_array()
+            .and_then(|c| c.get(src_col))
+            .and_then(serde::Value::as_str);
+        if source != Some("static") {
+            eprintln!("xtask bench-math: `ew_dispatch` row {row:?} is not a static route");
+            return ExitCode::FAILURE;
+        }
+    }
+    // Routing regression gate: every route that leaves the portable
+    // unroll (the only `ew_kernels` rows) must not lose to the scalar
+    // loop, so each row must hold speedup >= 1.0 on committed full
+    // runs. --quick smoke runs keep a jitter allowance for their few
+    // repetitions.
+    let ew_floor = if quick { 0.90 } else { 1.0 };
     let (Some(k_col), Some(s_col)) = (
         col_index("ew_kernels", "kernel"),
         col_index("ew_kernels", "speedup"),
@@ -798,10 +842,11 @@ fn bench_math(quick: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "bench-math ok: {} tables ({radix_rows} ntt_radix rows, {} ew rows, best \
+        "bench-math ok: {} tables ({} ntt_kernels rows, {} ew rows, best \
          hadamard {best_hadamard:.2}x / mac {best_mac:.2}x), headline speedup \
          {speedup:.2}x in {}",
         tables.len(),
+        kernel_rows.len(),
         table_rows("ew_kernels").len(),
         out.display()
     );
