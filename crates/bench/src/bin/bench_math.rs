@@ -29,9 +29,9 @@ use std::time::Instant;
 use ufc_bench::{cell, JsonReport};
 use ufc_math::ntt::{NttContext, NttKernel};
 use ufc_math::par;
-use ufc_math::plane::RnsPlane;
-use ufc_math::poly::Poly;
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::{generate_ntt_prime, generate_ntt_primes};
+use ufc_math::sample::uniform_plane;
 use ufc_tfhe::context::TfheContext;
 use ufc_tfhe::rgsw::RgswCiphertext;
 use ufc_tfhe::rlwe::RlweCiphertext;
@@ -121,10 +121,6 @@ fn median(v: &[f64]) -> f64 {
     } else {
         (s[m - 1] + s[m]) / 2.0
     }
-}
-
-fn random_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Poly {
-    Poly::from_coeffs((0..n).map(|_| rng.gen_range(0..q)).collect(), q)
 }
 
 fn main() {
@@ -449,13 +445,14 @@ fn main() {
         let q = generate_ntt_prime(n, 60).expect("60-bit NTT prime");
         let ctx = NttContext::new(n, q);
         let r = reps(n);
-        let a = random_poly(&mut rng, n, q);
-        let b = random_poly(&mut rng, n, q);
+        let a = uniform_plane(&mut rng, n, &[q]);
+        let b = uniform_plane(&mut rng, n, &[q]);
+        let (a, b) = (a.limb(0), b.limb(0));
         let lazy = time_ns(r, || {
-            std::hint::black_box(ctx.negacyclic_mul(&a, &b));
+            std::hint::black_box(ctx.negacyclic_mul(a, b));
         });
         let seed = time_ns(r, || {
-            std::hint::black_box(ctx.negacyclic_mul_reference(&a, &b));
+            std::hint::black_box(ctx.negacyclic_mul_reference(a, b));
         });
         let speedup = seed / lazy;
         mul_table.push(vec![cell(n as u64), cell(lazy), cell(seed), cell(speedup)]);
@@ -484,9 +481,11 @@ fn main() {
     for &n in &ep_sizes {
         let ctx = TfheContext::new(16, n, 7, 3, 6, 4);
         let s: Vec<i64> = (0..n).map(|_| rng.gen_range(0..=1i64)).collect();
-        let m = Poly::monomial(1, 1, n, ctx.q());
+        let q = [ctx.q()];
+        let m = RnsPlane::monomial(1, 1, n, &q);
         let rgsw = RgswCiphertext::encrypt(&ctx, &s, &m, &mut rng);
-        let ct = RlweCiphertext::encrypt(&ctx, &s, &Poly::zero(n, ctx.q()), &mut rng);
+        let zero = RnsPlane::zero(n, &q, Form::Coeff);
+        let ct = RlweCiphertext::encrypt(&ctx, &s, &zero, &mut rng);
         let r = reps(n).min(64);
         let ep = time_ns(r, || {
             std::hint::black_box(rgsw.external_product(&ctx, &ct));
@@ -500,13 +499,17 @@ fn main() {
         let ep_ref = time_ns(r.min(8), || {
             let a_digits = g.decompose_poly(&ct.a);
             let b_digits = g.decompose_poly(&ct.b);
-            let mut acc_a = Poly::zero(n, ctx.q());
-            let mut acc_b = Poly::zero(n, ctx.q());
+            let mut acc_a = zero.clone();
+            let mut acc_b = zero.clone();
+            let mac = |acc: &mut RnsPlane, digit: &RnsPlane, row: &RnsPlane| {
+                let prod = ntt.negacyclic_mul_reference(digit.limb(0), row.limb(0));
+                acc.add_assign(&RnsPlane::from_flat_unchecked(prod, &q, Form::Coeff));
+            };
             for l in 0..g.levels() {
-                acc_a.add_assign(&ntt.negacyclic_mul_reference(&a_digits[l], &rgsw.a_rows[l].a));
-                acc_a.add_assign(&ntt.negacyclic_mul_reference(&b_digits[l], &rgsw.b_rows[l].a));
-                acc_b.add_assign(&ntt.negacyclic_mul_reference(&a_digits[l], &rgsw.a_rows[l].b));
-                acc_b.add_assign(&ntt.negacyclic_mul_reference(&b_digits[l], &rgsw.b_rows[l].b));
+                mac(&mut acc_a, &a_digits[l], &rgsw.a_rows[l].a);
+                mac(&mut acc_a, &b_digits[l], &rgsw.b_rows[l].a);
+                mac(&mut acc_b, &a_digits[l], &rgsw.a_rows[l].b);
+                mac(&mut acc_b, &b_digits[l], &rgsw.b_rows[l].b);
             }
             std::hint::black_box((acc_a, acc_b));
         });
@@ -572,14 +575,7 @@ fn main() {
         (0..count)
             .map(|i| {
                 let mk = |salt: u64| {
-                    let polys: Vec<Poly> = op_moduli
-                        .iter()
-                        .enumerate()
-                        .map(|(l, &q)| {
-                            Poly::pseudorandom(plane_n, q, salt + 131 * i as u64 + l as u64)
-                        })
-                        .collect();
-                    RnsPlane::from_polys(&polys, ufc_math::poly::Form::Eval)
+                    RnsPlane::pseudorandom(plane_n, &op_moduli, salt + 131 * i as u64, Form::Eval)
                 };
                 (mk(1), mk(2), mk(3))
             })

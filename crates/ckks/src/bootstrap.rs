@@ -6,7 +6,6 @@ use crate::ciphertext::Ciphertext;
 use crate::encoding::Complex;
 use crate::eval::Evaluator;
 use crate::keys::{KeySet, SecretKey};
-use crate::rnspoly::RnsPoly;
 use rand::Rng;
 use ufc_isa::trace::TraceOp;
 
@@ -134,8 +133,7 @@ impl LinearTransform {
                 let twisted: Vec<Complex> =
                     (0..s).map(|i| diag[(i + s - (g * bs) % s) % s]).collect();
                 let coeffs = ev.encoder().encode(&twisted);
-                let pt = RnsPoly::from_signed(ev.context(), &coeffs, baby.level + 1)
-                    .to_eval(ev.context());
+                let pt = ev.context().eval_from_signed(&coeffs, baby.level + 1);
                 let term = ev.mul_plain(baby, &pt);
                 inner = Some(match inner {
                     Some(a) => ev.add(&a, &term),
@@ -171,8 +169,7 @@ impl LinearTransform {
                 ev.rotate(ct, *shift as isize, keys)
             };
             let coeffs = ev.encoder().encode(diag);
-            let pt = RnsPoly::from_signed(ev.context(), &coeffs, rotated.level + 1)
-                .to_eval(ev.context());
+            let pt = ev.context().eval_from_signed(&coeffs, rotated.level + 1);
             let term = ev.mul_plain(&rotated, &pt);
             acc = Some(match acc {
                 Some(a) => ev.add(&a, &term),
@@ -218,14 +215,11 @@ pub fn eval_poly(ev: &Evaluator, ct: &Ciphertext, coeffs: &[f64], keys: &KeySet)
         if c == 0.0 {
             continue;
         }
-        let p = powers[k].clone().expect("power computed");
-        let pt = ev.encode_real_at(&vec![c; slots], p.level, ev.context().scale());
-        let raw = Ciphertext::new(
-            p.c0.mul(&pt),
-            p.c1.mul(&pt),
-            p.level,
-            p.scale * ev.context().scale(),
-        );
+        let mut raw = powers[k].clone().expect("power computed");
+        let pt = ev.encode_real_at(&vec![c; slots], raw.level, ev.context().scale());
+        raw.c0.hadamard_assign(&pt);
+        raw.c1.hadamard_assign(&pt);
+        raw.scale *= ev.context().scale();
         terms.push(ev.rescale(&raw));
     }
     let target_level = terms
@@ -275,37 +269,29 @@ pub fn eval_chebyshev(ev: &Evaluator, x: &Ciphertext, coeffs: &[f64], keys: &Key
             return;
         }
         let pt = ev.encode_real_at(&vec![c; slots], t.level, ev.context().scale());
-        let raw = Ciphertext::new(
-            t.c0.mul(&pt),
-            t.c1.mul(&pt),
-            t.level,
-            t.scale * ev.context().scale(),
-        );
+        let mut raw = t.clone();
+        raw.c0.hadamard_assign(&pt);
+        raw.c1.hadamard_assign(&pt);
+        raw.scale *= ev.context().scale();
         terms.push(ev.rescale(&raw));
     };
     push_term(&mut terms, ev, &t_cur, coeffs[1]);
     for (k, &c) in coeffs.iter().enumerate().skip(2) {
         // T_k = 2x·T_{k-1} − T_{k-2}.
         let two_x_t = {
-            let prod = ev.mul(x, &t_cur, keys);
-            let doubled = Ciphertext::new(
-                prod.c0.add(&prod.c0),
-                prod.c1.add(&prod.c1),
-                prod.level,
-                prod.scale,
-            );
+            let mut doubled = ev.mul(x, &t_cur, keys);
+            let twos = vec![2; doubled.limb_count()];
+            doubled.c0.scale_limbs_assign(&twos);
+            doubled.c1.scale_limbs_assign(&twos);
             ev.rescale(&doubled)
         };
         let t_next = match &t_prev {
             // T_0 = 1: subtract the constant 1 at the current scale.
             None => {
                 let one = ev.encode_real_at(&vec![1.0; slots], two_x_t.level, two_x_t.scale);
-                Ciphertext::new(
-                    two_x_t.c0.sub(&one),
-                    two_x_t.c1.clone(),
-                    two_x_t.level,
-                    two_x_t.scale,
-                )
+                let mut t = two_x_t;
+                t.c0.sub_assign(&one);
+                t
             }
             Some(prev) => {
                 let aligned = ev.adjust_scale(prev, two_x_t.scale, two_x_t.level);

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 use ufc_math::modops::{inv_mod, mul_mod};
 use ufc_math::ntt::{NttContext, NttKernel};
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::generate_ntt_primes;
 use ufc_math::rns::{BaseConverter, RnsBasis};
 
@@ -255,6 +256,39 @@ impl CkksContext {
         moduli.iter().map(|&m| self.ntt_for_modulus(m)).collect()
     }
 
+    /// Converts a chain plane to evaluation form in place (no-op if it
+    /// is already there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a limb modulus is neither a Q nor a P modulus.
+    pub fn to_eval(&self, p: &mut RnsPlane) {
+        if p.form() == Form::Coeff {
+            p.ntt_forward(&self.ntt_tables(p.moduli()));
+        }
+    }
+
+    /// Converts a chain plane to coefficient form in place (no-op if it
+    /// is already there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a limb modulus is neither a Q nor a P modulus.
+    pub fn to_coeff(&self, p: &mut RnsPlane) {
+        if p.form() == Form::Eval {
+            p.ntt_inverse(&self.ntt_tables(p.moduli()));
+        }
+    }
+
+    /// Reduces signed coefficients into the first `count` Q limbs and
+    /// converts to evaluation form — the plaintext/secret/noise layout
+    /// every evaluator input uses.
+    pub fn eval_from_signed(&self, signed: &[i64], count: usize) -> RnsPlane {
+        let mut p = RnsPlane::from_signed(signed, &self.q_moduli[..count]);
+        self.to_eval(&mut p);
+        p
+    }
+
     /// Forces a specific NTT kernel on every table in the chain
     /// (`Q` and `P` limbs alike). All kernels are bit-identical, so
     /// this changes scheduling only; it exists for the cross-kernel
@@ -363,6 +397,43 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len());
+    }
+
+    #[test]
+    fn form_conversions_roundtrip_and_are_idempotent() {
+        let c = small();
+        let signed: Vec<i64> = (0..32).map(|i| i * 3 - 40).collect();
+        let p = RnsPlane::from_signed(&signed, &c.q_moduli()[..3]);
+        let mut x = p.clone();
+        c.to_eval(&mut x);
+        assert_eq!(x.form(), Form::Eval);
+        let once = x.clone();
+        c.to_eval(&mut x);
+        assert_eq!(x, once, "to_eval on an evaluation-form plane is a no-op");
+        c.to_coeff(&mut x);
+        assert_eq!(x, p);
+        c.to_coeff(&mut x);
+        assert_eq!(x, p, "to_coeff on a coefficient-form plane is a no-op");
+        assert_eq!(c.eval_from_signed(&signed, 3), once);
+    }
+
+    #[test]
+    fn eval_form_product_matches_schoolbook_per_limb() {
+        let c = small();
+        let a: Vec<i64> = (0..32).map(|i| i % 7).collect();
+        let b: Vec<i64> = (0..32).map(|i| (i % 5) - 2).collect();
+        let mut prod = c.eval_from_signed(&a, 2);
+        prod.hadamard_assign(&c.eval_from_signed(&b, 2));
+        c.to_coeff(&mut prod);
+        let (a, b) = (
+            RnsPlane::from_signed(&a, &c.q_moduli()[..2]),
+            RnsPlane::from_signed(&b, &c.q_moduli()[..2]),
+        );
+        for i in 0..2 {
+            let expect =
+                ufc_math::plane::negacyclic_mul_schoolbook(a.limb(i), b.limb(i), a.modulus(i));
+            assert_eq!(prod.limb(i), &expect[..], "limb {i}");
+        }
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //!
 //! The hot path (key-switching, rescale, rotation) is allocation-lean:
 //! every step works in place on the flat [`RnsPlane`] buffers, and the
-//! only copies are the explicit [`RnsPoly::prefix`] /
-//! [`RnsPoly::to_coeff_copy`] calls where a borrowed input genuinely
-//! has to be materialised.
+//! only copies are the explicit [`RnsPlane::prefix`] / `clone` calls
+//! where a borrowed input genuinely has to be materialised.
 
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::{Complex, Encoder};
 use crate::keys::{KeySet, SecretKey, SwitchingKey, NOISE_SIGMA};
-use crate::rnspoly::RnsPoly;
 use parking_lot::Mutex;
 use rand::Rng;
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::automorph;
-use ufc_math::plane::RnsPlane;
-use ufc_math::poly::{Form, Poly};
-use ufc_math::sample::{gaussian_poly, ternary_poly};
+use ufc_math::plane::{Form, RnsPlane};
+use ufc_math::sample::{gaussian_signed, ternary_signed};
 
 /// The cached, evaluation-form extended-basis digits of one
 /// ciphertext's `c1` — the reusable front half of a key switch.
@@ -30,7 +27,7 @@ use ufc_math::sample::{gaussian_poly, ternary_poly};
 /// instead of `r`.
 #[derive(Debug)]
 pub struct HoistedDigits {
-    digits: Vec<RnsPoly>,
+    digits: Vec<RnsPlane>,
     level: usize,
 }
 
@@ -92,10 +89,10 @@ impl Evaluator {
 
     /// Encodes real slot values into a plaintext RNS polynomial at
     /// `level` (evaluation form), at the context scale.
-    pub fn encode_real(&self, values: &[f64], level: usize) -> RnsPoly {
+    pub fn encode_real(&self, values: &[f64], level: usize) -> RnsPlane {
         let _span = ufc_trace::span("ckks", "encode");
         let coeffs = self.encoder.encode_real(values);
-        RnsPoly::from_signed(&self.ctx, &coeffs, level + 1).to_eval(&self.ctx)
+        self.ctx.eval_from_signed(&coeffs, level + 1)
     }
 
     /// Encrypts real slot values under the public key at top level.
@@ -113,44 +110,33 @@ impl Evaluator {
     /// Encrypts an already-encoded plaintext.
     pub fn encrypt_plaintext<R: Rng + ?Sized>(
         &self,
-        m: &RnsPoly,
+        m: &RnsPlane,
         keys: &KeySet,
         level: usize,
         rng: &mut R,
     ) -> Ciphertext {
         let _span = ufc_trace::span("ckks", "encrypt");
         let n = self.ctx.n();
-        let v_signed: Vec<i64> = {
-            let t = ternary_poly(rng, n, 3);
-            t.coeffs()
-                .iter()
-                .map(|&c| if c == 2 { -1 } else { c as i64 })
-                .collect()
-        };
-        let v = RnsPoly::from_signed(&self.ctx, &v_signed, level + 1).to_eval(&self.ctx);
+        let v = self
+            .ctx
+            .eval_from_signed(&ternary_signed(rng, n), level + 1);
         let e0 = self.noise(level, rng);
         let e1 = self.noise(level, rng);
         // Slice the public key to the active limbs, then build the
         // ciphertext components in place.
         let mut c0 = keys.public.b.prefix(level + 1);
-        c0.mul_assign(&v);
+        c0.hadamard_assign(&v);
         c0.add_assign(&e0);
         c0.add_assign(m);
         let mut c1 = keys.public.a.prefix(level + 1);
-        c1.mul_assign(&v);
+        c1.hadamard_assign(&v);
         c1.add_assign(&e1);
         Ciphertext::new(c0, c1, level, self.ctx.scale())
     }
 
-    fn noise<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> RnsPoly {
-        let signed: Vec<i64> = {
-            let p = gaussian_poly(rng, self.ctx.n(), 1 << 30, NOISE_SIGMA);
-            p.coeffs()
-                .iter()
-                .map(|&c| ufc_math::modops::to_signed(c, 1 << 30))
-                .collect()
-        };
-        RnsPoly::from_signed(&self.ctx, &signed, level + 1).to_eval(&self.ctx)
+    fn noise<R: Rng + ?Sized>(&self, level: usize, rng: &mut R) -> RnsPlane {
+        let signed = gaussian_signed(rng, self.ctx.n(), NOISE_SIGMA);
+        self.ctx.eval_from_signed(&signed, level + 1)
     }
 
     // ---------------------------------------------------------- decrypt
@@ -161,10 +147,10 @@ impl Evaluator {
     /// two of 60 — ample for test-scale messages).
     pub fn decrypt_coeffs(&self, ct: &Ciphertext, sk: &SecretKey) -> Vec<i64> {
         let _span = ufc_trace::span("ckks", "decrypt");
-        let s = sk.rns_eval(&self.ctx, ct.limb_count());
-        let mut m = ct.c1.mul(&s);
+        let mut m = ct.c1.clone();
+        m.hadamard_assign(&sk.rns_eval(&self.ctx, ct.limb_count()));
         m.add_assign(&ct.c0);
-        let m = m.to_coeff(&self.ctx);
+        self.ctx.to_coeff(&mut m);
         let mut product = 1u128;
         let use_limbs = self.ctx.q_moduli()[..m.limb_count()]
             .iter()
@@ -234,32 +220,28 @@ impl Evaluator {
 
     /// Ciphertext × plaintext multiplication (plaintext in evaluation
     /// form at the same level, encoded at the context scale).
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &RnsPoly) -> Ciphertext {
+    pub fn mul_plain(&self, a: &Ciphertext, pt: &RnsPlane) -> Ciphertext {
         let _span = ufc_trace::span("ckks", "mul_plain");
         assert_eq!(pt.limb_count(), a.limb_count(), "plaintext level mismatch");
         self.record(TraceOp::CkksMulPlain {
             level: a.level as u32,
         });
-        Ciphertext::new(
-            a.c0.mul(pt),
-            a.c1.mul(pt),
-            a.level,
-            a.scale * self.ctx.scale(),
-        )
+        let mut out = a.clone();
+        out.c0.hadamard_assign(pt);
+        out.c1.hadamard_assign(pt);
+        out.scale *= self.ctx.scale();
+        out
     }
 
     /// Adds an encoded plaintext to the ciphertext (scales must match).
-    pub fn add_plain(&self, a: &Ciphertext, pt: &RnsPoly) -> Ciphertext {
+    pub fn add_plain(&self, a: &Ciphertext, pt: &RnsPlane) -> Ciphertext {
         assert_eq!(pt.limb_count(), a.limb_count(), "plaintext level mismatch");
         self.record(TraceOp::CkksAdd {
             level: a.level as u32,
         });
-        Ciphertext::new(
-            a.c0.add(pt),
-            a.c1.prefix(a.c1.limb_count()),
-            a.level,
-            a.scale,
-        )
+        let mut out = a.clone();
+        out.c0.add_assign(pt);
+        out
     }
 
     /// Homomorphic ciphertext multiplication with relinearization.
@@ -270,10 +252,13 @@ impl Evaluator {
         self.record(TraceOp::CkksMulCt {
             level: level as u32,
         });
-        let mut d0 = a.c0.mul(&b.c0);
-        let mut d1 = a.c0.mul(&b.c1);
+        let mut d0 = a.c0.clone();
+        d0.hadamard_assign(&b.c0);
+        let mut d1 = a.c0;
+        d1.hadamard_assign(&b.c1);
         d1.mac_assign(&a.c1, &b.c0);
-        let d2 = a.c1.mul(&b.c1);
+        let mut d2 = a.c1;
+        d2.hadamard_assign(&b.c1);
         // Relinearize d2 with the s² key.
         let (k0, k1) = self.key_switch(&d2, &keys.relin, level);
         d0.add_assign(&k0);
@@ -289,13 +274,19 @@ impl Evaluator {
             level: a.level as u32,
         });
         let q_last = self.ctx.q_moduli()[a.level];
-        let mut c0 = a.c0.to_coeff_copy(&self.ctx);
-        c0.rescale_assign();
-        c0.to_eval_mut(&self.ctx);
-        let mut c1 = a.c1.to_coeff_copy(&self.ctx);
-        c1.rescale_assign();
-        c1.to_eval_mut(&self.ctx);
-        Ciphertext::new(c0, c1, a.level - 1, a.scale / q_last as f64)
+        let rescaled = |c: &RnsPlane| {
+            let mut c = c.clone();
+            self.ctx.to_coeff(&mut c);
+            c.rescale_assign();
+            self.ctx.to_eval(&mut c);
+            c
+        };
+        Ciphertext::new(
+            rescaled(&a.c0),
+            rescaled(&a.c1),
+            a.level - 1,
+            a.scale / q_last as f64,
+        )
     }
 
     /// Homomorphic slot rotation by `step` (left-rotation of the
@@ -331,8 +322,9 @@ impl Evaluator {
     }
 
     fn apply_galois(&self, a: &Ciphertext, k: usize, key: &SwitchingKey) -> Ciphertext {
-        let mut c0r = a.c0.automorphism(k);
-        let c1r = a.c1.automorphism(k);
+        let (mut c0r, mut c1r) = (a.c0.clone(), a.c1.clone());
+        c0r.automorph_assign(k);
+        c1r.automorph_assign(k);
         let (k0, k1) = self.key_switch(&c1r, key, a.level);
         c0r.add_assign(&k0);
         Ciphertext::new(c0r, k1, a.level, a.scale)
@@ -340,10 +332,10 @@ impl Evaluator {
 
     /// Encodes real slot values at an explicit scale (used for scale
     /// management in deep circuits).
-    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPoly {
+    pub fn encode_real_at(&self, values: &[f64], level: usize, scale: f64) -> RnsPlane {
         let enc = Encoder::new(self.ctx.n(), scale);
         let coeffs = enc.encode_real(values);
-        RnsPoly::from_signed(&self.ctx, &coeffs, level + 1).to_eval(&self.ctx)
+        self.ctx.eval_from_signed(&coeffs, level + 1)
     }
 
     /// Rescales `a` to exactly (`target_level`, `target_scale`) by one
@@ -367,14 +359,12 @@ impl Evaluator {
         let factor_scale = target_scale * q_next / a.scale;
         let ones = vec![1.0; self.ctx.slots()];
         let pt = self.encode_real_at(&ones, a.level, factor_scale);
-        let scaled = Ciphertext::new(
-            a.c0.mul(&pt),
-            a.c1.mul(&pt),
-            a.level,
-            a.scale * factor_scale,
-        );
+        let mut scaled = a;
+        scaled.c0.hadamard_assign(&pt);
+        scaled.c1.hadamard_assign(&pt);
+        scaled.scale *= factor_scale;
         self.record(TraceOp::CkksMulPlain {
-            level: a.level as u32,
+            level: scaled.level as u32,
         });
         let out = self.rescale(&scaled);
         // Snap the bookkeeping to the exact target (the numeric drift
@@ -404,7 +394,12 @@ impl Evaluator {
     /// key, and the ModDown division by `P` (§II-B3). Each extended
     /// digit is assembled directly into a flat limb-major buffer and
     /// MAC-accumulated in place — no per-digit limb vectors.
-    pub fn key_switch(&self, d: &RnsPoly, key: &SwitchingKey, level: usize) -> (RnsPoly, RnsPoly) {
+    pub fn key_switch(
+        &self,
+        d: &RnsPlane,
+        key: &SwitchingKey,
+        level: usize,
+    ) -> (RnsPlane, RnsPlane) {
         let _span = ufc_trace::span_n("ckks", "key_switch", level as u64);
         let digits = self.decompose_mod_up(d, level);
         self.mac_digits(&digits, key, level)
@@ -414,11 +409,12 @@ impl Evaluator {
     /// basis (active Q limbs ++ all P limbs, evaluation form) — the
     /// expensive front half of [`Evaluator::key_switch`], shared with
     /// [`Evaluator::hoist`].
-    fn decompose_mod_up(&self, d: &RnsPoly, level: usize) -> Vec<RnsPoly> {
+    fn decompose_mod_up(&self, d: &RnsPlane, level: usize) -> Vec<RnsPlane> {
         let ctx = &self.ctx;
         let active = level + 1;
         let n = ctx.n();
-        let d_coeff = d.to_coeff_copy(ctx);
+        let mut d_coeff = d.clone();
+        ctx.to_coeff(&mut d_coeff);
 
         // Extended basis: active Q limbs followed by all P limbs.
         let mut ext_moduli: Vec<u64> = Vec::with_capacity(active + ctx.p_moduli().len());
@@ -433,32 +429,25 @@ impl Evaluator {
             }
             let hi_l = hi.min(active);
             // d~_j = [d * Qhat_j^{-1}]_{Q_j} on the digit limbs.
-            let digit_rows: Vec<Poly> = (lo..hi_l)
-                .map(|i| {
-                    let mut p = d_coeff.limb_poly(i);
-                    p.scale_assign(dt.qhat_inv[level][i - lo]);
-                    p
-                })
-                .collect();
+            let mut digit = RnsPlane::from_flat_unchecked(
+                d_coeff.flat()[lo * n..hi_l * n].to_vec(),
+                &ext_moduli[lo..hi_l],
+                Form::Coeff,
+            );
+            digit.scale_limbs_assign(&dt.qhat_inv[level][..hi_l - lo]);
             // ModUp to the complement moduli: the converter emits a
             // flat limb-major buffer ordered q[..lo], q[hi_l..active],
             // p[..] — splice the digit rows back in to get the
             // extended-basis layout directly.
             let conv = dt.mod_up[level].as_ref().expect("digit active");
-            let rows: Vec<&[u64]> = digit_rows.iter().map(ufc_math::Poly::coeffs).collect();
+            let rows: Vec<&[u64]> = (0..hi_l - lo).map(|i| digit.limb(i)).collect();
             let converted = conv.convert_rows(&rows);
             let mut flat = Vec::with_capacity(ext_moduli.len() * n);
             flat.extend_from_slice(&converted[..lo * n]);
-            for row in &digit_rows {
-                flat.extend_from_slice(row.coeffs());
-            }
+            flat.extend_from_slice(digit.flat());
             flat.extend_from_slice(&converted[lo * n..]);
-            let mut d_ext = RnsPoly::from_plane(RnsPlane::from_flat_unchecked(
-                flat,
-                &ext_moduli,
-                Form::Coeff,
-            ));
-            d_ext.to_eval_mut(ctx);
+            let mut d_ext = RnsPlane::from_flat_unchecked(flat, &ext_moduli, Form::Coeff);
+            ctx.to_eval(&mut d_ext);
             digits.push(d_ext);
         }
         digits
@@ -468,10 +457,10 @@ impl Evaluator {
     /// and ModDowns — the back half of [`Evaluator::key_switch`].
     fn mac_digits(
         &self,
-        digits: &[RnsPoly],
+        digits: &[RnsPlane],
         key: &SwitchingKey,
         level: usize,
-    ) -> (RnsPoly, RnsPoly) {
+    ) -> (RnsPlane, RnsPlane) {
         let ctx = &self.ctx;
         let active = level + 1;
         let n = ctx.n();
@@ -479,8 +468,8 @@ impl Evaluator {
         let mut ext_moduli: Vec<u64> = Vec::with_capacity(active + ctx.p_moduli().len());
         ext_moduli.extend_from_slice(&ctx.q_moduli()[..active]);
         ext_moduli.extend_from_slice(ctx.p_moduli());
-        let mut acc0 = RnsPoly::from_plane(RnsPlane::zero(n, &ext_moduli, Form::Eval));
-        let mut acc1 = RnsPoly::from_plane(RnsPlane::zero(n, &ext_moduli, Form::Eval));
+        let mut acc0 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
+        let mut acc1 = RnsPlane::zero(n, &ext_moduli, Form::Eval);
         for (d_ext, (b_j, a_j)) in digits.iter().zip(digit_keys) {
             acc0.mac_assign(d_ext, b_j);
             acc1.mac_assign(d_ext, a_j);
@@ -531,9 +520,18 @@ impl Evaluator {
             level: a.level as u32,
             step: step as i32,
         });
-        let permuted: Vec<RnsPoly> = hoisted.digits.iter().map(|d| d.automorphism(k)).collect();
+        let permuted: Vec<RnsPlane> = hoisted
+            .digits
+            .iter()
+            .map(|d| {
+                let mut d = d.clone();
+                d.automorph_assign(k);
+                d
+            })
+            .collect();
         let (k0, k1) = self.mac_digits(&permuted, key, a.level);
-        let mut c0r = a.c0.automorphism(k);
+        let mut c0r = a.c0.clone();
+        c0r.automorph_assign(k);
         c0r.add_assign(&k0);
         Ciphertext::new(c0r, k1, a.level, a.scale)
     }
@@ -541,10 +539,10 @@ impl Evaluator {
     /// ModDown: divides an (active Q ++ P)-limb polynomial by `P` with
     /// rounding, consuming the input and returning active-Q limbs
     /// (evaluation form).
-    fn mod_down(&self, mut x: RnsPoly, level: usize) -> RnsPoly {
+    fn mod_down(&self, mut x: RnsPlane, level: usize) -> RnsPlane {
         let ctx = &self.ctx;
         let active = level + 1;
-        x.to_coeff_mut(ctx);
+        ctx.to_coeff(&mut x);
         let p_count = ctx.p_moduli().len();
         assert_eq!(x.limb_count(), active + p_count, "limb layout");
         let conv = ctx.p_to_q_converter(level);
@@ -552,16 +550,13 @@ impl Evaluator {
             let rows: Vec<&[u64]> = (active..active + p_count).map(|i| x.limb(i)).collect();
             conv.convert_rows(&rows)
         };
-        let p_on_q = RnsPoly::from_plane(RnsPlane::from_flat_unchecked(
-            p_on_q_flat,
-            &ctx.q_moduli()[..active],
-            Form::Coeff,
-        ));
+        let p_on_q =
+            RnsPlane::from_flat_unchecked(p_on_q_flat, &ctx.q_moduli()[..active], Form::Coeff);
         x.truncate_limbs(active);
         x.sub_assign(&p_on_q);
         let p_inv: Vec<u64> = (0..active).map(|i| ctx.p_inv_mod_q(i)).collect();
         x.scale_limbs_assign(&p_inv);
-        x.to_eval_mut(ctx);
+        ctx.to_eval(&mut x);
         x
     }
 
@@ -754,8 +749,9 @@ mod tests {
             .map(|i| (i as f64 * 0.1, 1.0 - i as f64 * 0.05))
             .collect();
         let coeffs = ev.encoder().encode(&slots);
-        let m = RnsPoly::from_signed(ev.context(), &coeffs, ev.context().max_level() + 1)
-            .to_eval(ev.context());
+        let m = ev
+            .context()
+            .eval_from_signed(&coeffs, ev.context().max_level() + 1);
         let ct = ev.encrypt_plaintext(&m, &keys, ev.context().max_level(), &mut rng);
         let conj = ev.conjugate(&ct, &keys);
         let dec = ev.decrypt_complex(&conj, &sk);

@@ -7,17 +7,11 @@
 //! hardware (§IV-B5).
 
 use crate::context::CkksContext;
-use crate::rnspoly::RnsPoly;
 use rand::Rng;
 use ufc_math::automorph;
 use ufc_math::modops::mul_mod;
-use ufc_math::poly::{Form, Poly};
-use ufc_math::sample::{gaussian, ternary_poly, uniform_poly};
-
-/// Samples a centered discrete-Gaussian coefficient vector.
-fn gaussian_signed<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
-    (0..n).map(|_| gaussian(rng, NOISE_SIGMA)).collect()
-}
+use ufc_math::plane::{Form, RnsPlane};
+use ufc_math::sample::{gaussian_signed, ternary_signed, uniform_plane};
 
 /// Noise standard deviation (the ubiquitous σ = 3.2), shared with the
 /// static noise model in `ufc_isa::noise`.
@@ -33,13 +27,9 @@ pub struct SecretKey {
 impl SecretKey {
     /// Samples a fresh ternary secret for the given context.
     pub fn generate<R: Rng + ?Sized>(ctx: &CkksContext, rng: &mut R) -> Self {
-        let p = ternary_poly(rng, ctx.n(), 3);
-        let signed: Vec<i64> = p
-            .coeffs()
-            .iter()
-            .map(|&c| if c == 2 { -1 } else { c as i64 })
-            .collect();
-        Self { signed }
+        Self {
+            signed: ternary_signed(rng, ctx.n()),
+        }
     }
 
     /// The centered coefficient view.
@@ -47,15 +37,9 @@ impl SecretKey {
         &self.signed
     }
 
-    /// The secret as a limb polynomial for modulus `q`, in coefficient
-    /// form.
-    pub fn poly_mod(&self, q: u64, _n: usize) -> Poly {
-        Poly::from_signed(&self.signed, q)
-    }
-
     /// The secret over the first `count` Q limbs, in evaluation form.
-    pub fn rns_eval(&self, ctx: &CkksContext, count: usize) -> RnsPoly {
-        RnsPoly::from_signed(ctx, &self.signed, count).to_eval(ctx)
+    pub fn rns_eval(&self, ctx: &CkksContext, count: usize) -> RnsPlane {
+        ctx.eval_from_signed(&self.signed, count)
     }
 }
 
@@ -64,7 +48,7 @@ impl SecretKey {
 #[derive(Debug, Clone)]
 pub struct SwitchingKey {
     /// `per_level[level][digit] = (b_j, a_j)`.
-    per_level: Vec<Vec<(RnsPoly, RnsPoly)>>,
+    per_level: Vec<Vec<(RnsPlane, RnsPlane)>>,
 }
 
 impl SwitchingKey {
@@ -93,22 +77,20 @@ impl SwitchingKey {
                     .chain(ctx.p_moduli())
                     .copied()
                     .collect();
-                let mut b_limbs = Vec::with_capacity(moduli.len());
-                let mut a_limbs = Vec::with_capacity(moduli.len());
                 // One small-integer noise polynomial shared by every
                 // limb: RNS limbs must be residues of the same integer
                 // polynomial or CRT reconstruction breaks.
-                let e_signed = gaussian_signed(rng, n);
-                for (idx, &q) in moduli.iter().enumerate() {
-                    let ntt = ctx.ntt_for_modulus(q);
-                    let a = uniform_poly(rng, n, q);
-                    let e = Poly::from_signed(&e_signed, q);
-                    let s = Poly::from_signed(&sk.signed, q);
-                    let s_from = Poly::from_signed(s_from_signed, q);
-                    // factor = [P * Qhat_j]_q for active Q limbs inside
-                    // the key; 0 on P limbs (P ≡ 0 there) and on Q
-                    // limbs automatically via the product.
-                    let factor = if idx < active {
+                let e_signed = gaussian_signed(rng, n, NOISE_SIGMA);
+                let a = uniform_plane(rng, n, &moduli);
+                // factor = [P * Qhat_j]_q for active Q limbs inside the
+                // key; 0 on P limbs (P ≡ 0 there).
+                let factors: Vec<u64> = moduli
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &q)| {
+                        if idx >= active {
+                            return 0;
+                        }
                         let mut f = ctx.p_mod_q(idx);
                         for (k, &qk) in ctx.q_moduli()[..active].iter().enumerate() {
                             if !(lo..hi_l).contains(&k) {
@@ -116,21 +98,13 @@ impl SwitchingKey {
                             }
                         }
                         f
-                    } else {
-                        0
-                    };
-                    // b = -a*s + e + factor * s_from  (over Z_q).
-                    let a_eval = ntt.to_eval(&a);
-                    let s_eval = ntt.to_eval(&s);
-                    let as_prod = ntt.to_coeff(&a_eval.hadamard(&s_eval));
-                    let b = as_prod.neg().add(&e).add(&s_from.scale(factor));
-                    b_limbs.push(ntt.to_eval(&b));
-                    a_limbs.push(a_eval);
-                }
-                digit_keys.push((
-                    RnsPoly::from_limbs(b_limbs, Form::Eval),
-                    RnsPoly::from_limbs(a_limbs, Form::Eval),
-                ));
+                    })
+                    .collect();
+                // b = -a*s + e + factor * s_from  (over every limb).
+                let mut target = RnsPlane::from_signed(s_from_signed, &moduli);
+                target.scale_limbs_assign(&factors);
+                let (b, a) = rlwe_sample(ctx, a, &sk.signed, &e_signed, target);
+                digit_keys.push((b, a));
             }
             per_level.push(digit_keys);
         }
@@ -138,7 +112,7 @@ impl SwitchingKey {
     }
 
     /// The digit keys active at `level`.
-    pub fn at_level(&self, level: usize) -> &[(RnsPoly, RnsPoly)] {
+    pub fn at_level(&self, level: usize) -> &[(RnsPlane, RnsPlane)] {
         &self.per_level[level]
     }
 }
@@ -147,9 +121,9 @@ impl SwitchingKey {
 #[derive(Debug, Clone)]
 pub struct PublicKey {
     /// `b` component, evaluation form.
-    pub b: RnsPoly,
+    pub b: RnsPlane,
     /// `a` component, evaluation form.
-    pub a: RnsPoly,
+    pub a: RnsPlane,
 }
 
 /// A full key set: public, relinearization, conjugation and rotation
@@ -173,25 +147,11 @@ impl KeySet {
         let active = ctx.max_level() + 1;
         // Public key over full Q (one shared noise polynomial; see
         // SwitchingKey::generate).
-        let mut b_limbs = Vec::new();
-        let mut a_limbs = Vec::new();
-        let e_signed = gaussian_signed(rng, n);
-        for i in 0..active {
-            let q = ctx.q_moduli()[i];
-            let ntt = ctx.ntt_q(i);
-            let a = uniform_poly(rng, n, q);
-            let e = Poly::from_signed(&e_signed, q);
-            let s = Poly::from_signed(&sk.signed, q);
-            let a_eval = ntt.to_eval(&a);
-            let as_prod = ntt.to_coeff(&a_eval.hadamard(&ntt.to_eval(&s)));
-            let b = as_prod.neg().add(&e);
-            b_limbs.push(ntt.to_eval(&b));
-            a_limbs.push(a_eval);
-        }
-        let public = PublicKey {
-            b: RnsPoly::from_limbs(b_limbs, Form::Eval),
-            a: RnsPoly::from_limbs(a_limbs, Form::Eval),
-        };
+        let e_signed = gaussian_signed(rng, n, NOISE_SIGMA);
+        let a = uniform_plane(rng, n, &ctx.q_moduli()[..active]);
+        let zero = RnsPlane::zero(n, a.moduli(), Form::Coeff);
+        let (b, a) = rlwe_sample(ctx, a, &sk.signed, &e_signed, zero);
+        let public = PublicKey { b, a };
 
         // s² for relinearization.
         let s2 = square_signed(&sk.signed);
@@ -236,6 +196,30 @@ impl KeySet {
     pub fn rotation_key_count(&self) -> usize {
         self.rotations.len()
     }
+}
+
+/// One RLWE sample in evaluation form over `a`'s limbs: returns
+/// `(b, NTT(a))` with `b = NTT(-a·s + e + target)`, where `a` is a
+/// uniform coefficient-form plane, `s` and `e` are small signed
+/// polynomials reduced into every limb, and `target` is the
+/// coefficient-form message the sample hides.
+fn rlwe_sample(
+    ctx: &CkksContext,
+    mut a: RnsPlane,
+    s_signed: &[i64],
+    e_signed: &[i64],
+    mut target: RnsPlane,
+) -> (RnsPlane, RnsPlane) {
+    ctx.to_eval(&mut a);
+    let mut b = RnsPlane::from_signed(s_signed, a.moduli());
+    ctx.to_eval(&mut b);
+    b.hadamard_assign(&a);
+    ctx.to_coeff(&mut b);
+    b.neg_assign();
+    target.add_assign(&RnsPlane::from_signed(e_signed, a.moduli()));
+    b.add_assign(&target);
+    ctx.to_eval(&mut b);
+    (b, a)
 }
 
 /// Negacyclic square of a signed coefficient vector (exact integer
@@ -302,9 +286,12 @@ mod tests {
         let sk = SecretKey::generate(&c, &mut rng);
         let ks = KeySet::generate(&c, &sk, &mut rng);
         let s_eval = sk.rns_eval(&c, c.max_level() + 1);
-        let check = ks.public.b.add(&ks.public.a.mul(&s_eval)).to_coeff(&c);
+        let mut check = ks.public.a.clone();
+        check.hadamard_assign(&s_eval);
+        check.add_assign(&ks.public.b);
+        c.to_coeff(&mut check);
         for l in 0..check.limb_count() {
-            let q = check.limb_modulus(l);
+            let q = check.modulus(l);
             for &v in check.limb(l) {
                 let centered = ufc_math::modops::to_signed(v, q);
                 assert!(centered.abs() < 64, "noise too large: {centered}");

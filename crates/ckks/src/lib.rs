@@ -33,11 +33,9 @@ pub mod encoding;
 pub mod eval;
 pub mod keys;
 pub mod noise;
-pub mod rnspoly;
 
 pub use ciphertext::Ciphertext;
 pub use context::CkksContext;
 pub use encoding::Encoder;
 pub use eval::{Evaluator, HoistedDigits};
 pub use keys::{KeySet, SecretKey};
-pub use rnspoly::RnsPoly;

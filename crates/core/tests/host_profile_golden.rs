@@ -24,9 +24,9 @@ const GOLDEN_SPANS: &[(&str, u64)] = &[
     ("ckks/rescale", 1),
     ("ckks/rotate", 1),
     ("math/negacyclic_mul[radix4]", 384),
-    ("math/ntt_forward[radix4]", 6306),
-    ("math/ntt_inverse[radix4]", 1974),
-    ("math/par_limb", 131),
+    ("math/ntt_forward[radix4]", 6347),
+    ("math/ntt_inverse[radix4]", 1994),
+    ("math/par_limb", 614),
     ("switch/extract_batch[b8]", 1),
     ("tfhe/blind_rotate", 12),
     ("tfhe/external_product", 768),

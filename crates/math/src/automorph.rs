@@ -6,26 +6,14 @@
 
 use crate::modops::{neg_mod, pow_mod};
 use crate::ntt::NttContext;
-use crate::poly::Poly;
 
-/// Applies the automorphism `f(X) → f(X^k)` in coefficient form.
+/// Applies the automorphism `f(X) → f(X^k)` in coefficient form,
+/// scattering `src` into `dst` — the kernel behind
+/// [`crate::plane::RnsPlane::automorph_assign`].
 ///
 /// `k` must be odd (so the map is a ring automorphism of
 /// `Z_q[X]/(X^N+1)`). Coefficient `i` moves to `i*k mod 2N`, picking up
 /// a sign when it crosses `N`.
-///
-/// # Panics
-///
-/// Panics if `k` is even.
-pub fn apply_coeff(p: &Poly, k: usize) -> Poly {
-    let mut out = vec![0u64; p.dim()];
-    apply_coeff_slice(p.coeffs(), &mut out, k, p.modulus());
-    Poly::from_coeffs_unchecked(out, p.modulus())
-}
-
-/// Slice-level coefficient-form automorphism: scatters `src` into
-/// `dst`. The kernel behind [`apply_coeff`], shared with the flat
-/// [`crate::plane::RnsPlane`] data plane.
 ///
 /// # Panics
 ///
@@ -46,21 +34,12 @@ pub fn apply_coeff_slice(src: &[u64], dst: &mut [u64], k: usize, q: u64) {
 }
 
 /// Applies the automorphism in evaluation (NTT) form, where it is a
-/// pure index permutation (no arithmetic).
+/// pure index permutation (no arithmetic) of `src` into `dst`.
 ///
 /// With the natural-order negacyclic NTT (evaluation point `j` is
 /// `ψ^(2j+1)`), the automorphed polynomial's evaluation at point `j`
 /// is the original's value at the point `ψ^(k(2j+1))`, i.e. index
 /// `j' = (k(2j+1) - 1)/2 mod N`.
-pub fn apply_eval(p: &Poly, k: usize) -> Poly {
-    let mut out = vec![0u64; p.dim()];
-    apply_eval_slice(p.coeffs(), &mut out, k);
-    Poly::from_coeffs_unchecked(out, p.modulus())
-}
-
-/// Slice-level evaluation-form automorphism (a pure permutation).
-/// The kernel behind [`apply_eval`], shared with the flat
-/// [`crate::plane::RnsPlane`] data plane.
 ///
 /// # Panics
 ///
@@ -110,67 +89,70 @@ mod tests {
         NttContext::new(n, generate_ntt_prime(n, 40).unwrap())
     }
 
+    fn coeff(src: &[u64], k: usize, q: u64) -> Vec<u64> {
+        let mut out = vec![0; src.len()];
+        apply_coeff_slice(src, &mut out, k, q);
+        out
+    }
+
+    fn eval(src: &[u64], k: usize) -> Vec<u64> {
+        let mut out = vec![0; src.len()];
+        apply_eval_slice(src, &mut out, k);
+        out
+    }
+
+    fn forward(ctx: &NttContext, p: &[u64]) -> Vec<u64> {
+        let mut out = p.to_vec();
+        ctx.forward(&mut out);
+        out
+    }
+
     #[test]
     fn identity_automorphism() {
         let ctx = ring(16);
-        let p = Poly::from_coeffs((0..16u64).collect(), ctx.modulus());
-        assert_eq!(apply_coeff(&p, 1), p);
-        assert_eq!(apply_eval(&p, 1), p);
+        let p: Vec<u64> = (0..16).collect();
+        assert_eq!(coeff(&p, 1, ctx.modulus()), p);
+        assert_eq!(eval(&p, 1), p);
     }
 
     #[test]
     fn coeff_map_known_small_case() {
         // N = 4, k = 3: X -> X^3, X^2 -> X^6 = -X^2, X^3 -> X^9 = X.
-        let ctx = ring(4);
-        let q = ctx.modulus();
-        let p = Poly::from_coeffs(vec![10, 20, 30, 40], q);
-        let a = apply_coeff(&p, 3);
-        assert_eq!(a.coeffs(), &[10, 40, q - 30, 20]);
+        let q = ring(4).modulus();
+        assert_eq!(coeff(&[10, 20, 30, 40], 3, q), [10, 40, q - 30, 20]);
     }
 
     #[test]
     fn automorphism_is_multiplicative() {
         // applying k then k' equals applying k*k' mod 2N.
-        let ctx = ring(32);
-        let p = Poly::from_coeffs((0..32u64).map(|i| i * i + 1).collect(), ctx.modulus());
-        let a = apply_coeff(&apply_coeff(&p, 5), 7);
-        let b = apply_coeff(&p, 35);
-        assert_eq!(a, b);
+        let q = ring(32).modulus();
+        let p: Vec<u64> = (0..32u64).map(|i| i * i + 1).collect();
+        assert_eq!(coeff(&coeff(&p, 5, q), 7, q), coeff(&p, 35, q));
     }
 
     #[test]
     fn eval_form_commutes_with_ntt() {
         // NTT(auto_k(p)) == auto_eval_k(NTT(p)).
         let ctx = ring(32);
-        let p = Poly::from_coeffs((0..32u64).map(|i| 3 * i + 7).collect(), ctx.modulus());
+        let p: Vec<u64> = (0..32u64).map(|i| 3 * i + 7).collect();
         for k in [3usize, 5, 9, 63] {
-            let lhs = ctx.to_eval(&apply_coeff(&p, k));
-            let rhs = apply_eval(&ctx.to_eval(&p), k);
+            let lhs = forward(&ctx, &coeff(&p, k, ctx.modulus()));
+            let rhs = eval(&forward(&ctx, &p), k);
             assert_eq!(lhs, rhs, "k = {k}");
         }
     }
 
     #[test]
     fn automorphism_via_ntt_trick() {
-        // §IV-C2: NTT with psi^k on the *original* coefficients equals
-        // the standard NTT of the automorphed polynomial... evaluated
-        // at permuted points; verify the roundtrip form the hardware
-        // uses: iNTT_psi(NTT_psi_k(p)) == auto_k(p) up to the eval
-        // permutation. We check the strongest useful invariant:
-        // NTT_{psi^k}(p) equals the evaluations of p at the points
-        // (psi^k)^(2j+1), which are exactly the automorphed
-        // evaluations of auto_k(p) at psi^(2j+1)... i.e.
-        // NTT_{psi^k}(p) == NTT_psi(auto_k^{-1}-composed) — concretely:
-        // eval_j(NTT_{psi^k}(p)) == p(psi^{k(2j+1)}).
+        // §IV-C2: the NTT with ψ replaced by ψ^k, run on the *original*
+        // coefficients, evaluates p at the points (ψ^k)^(2j+1) — which
+        // is exactly the evaluation-form automorphism of NTT_ψ(p), so
+        // the hardware needs no data shuffle.
         let ctx = ring(16);
-        let q = ctx.modulus();
-        let p = Poly::from_coeffs((0..16u64).map(|i| 7 * i + 2).collect(), q);
+        let p: Vec<u64> = (0..16u64).map(|i| 7 * i + 2).collect();
         let k = 5usize;
         let ctx_k = ntt_context_for_automorphism(&ctx, k);
-        let via_trick = ctx_k.to_eval(&p);
-        // Direct: evaluate auto form then standard NTT.
-        let direct = apply_eval(&ctx.to_eval(&p), k);
-        assert_eq!(via_trick, direct);
+        assert_eq!(forward(&ctx_k, &p), eval(&forward(&ctx, &p), k));
     }
 
     #[test]
@@ -190,14 +172,11 @@ mod tests {
 
     #[test]
     fn eval_permutation_is_a_bijection() {
-        let ctx = ring(64);
-        let p = Poly::from_coeffs((0..64u64).collect(), ctx.modulus());
+        let p: Vec<u64> = (0..64).collect();
         for k in [3usize, 5, 127] {
-            let a = apply_eval(&p, k);
-            let mut sorted = a.coeffs().to_vec();
+            let mut sorted = eval(&p, k);
             sorted.sort_unstable();
-            let expect: Vec<u64> = (0..64).collect();
-            assert_eq!(sorted, expect, "k = {k}");
+            assert_eq!(sorted, p, "k = {k}");
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::modops::{add_mod, inv_mod, mul_mod, sub_mod};
 use crate::ntt::NttContext;
-use crate::poly::Poly;
+use crate::simd;
 
 /// Constant-geometry NTT engine for a fixed `(N, q)` ring.
 ///
@@ -127,33 +127,32 @@ impl CgNtt {
 
     /// Negacyclic forward transform: coefficient form → evaluation form
     /// (bit-reversed evaluation order).
-    pub fn forward(&self, p: &Poly) -> Poly {
+    pub fn forward(&self, p: &[u64]) -> Vec<u64> {
         let q = self.ctx.modulus();
         let twisted: Vec<u64> = p
-            .coeffs()
             .iter()
             .enumerate()
             .map(|(i, &c)| mul_mod(c, self.psi_pow(i), q))
             .collect();
-        Poly::from_coeffs(self.forward_cyclic(&twisted), q)
+        self.forward_cyclic(&twisted)
     }
 
     /// Negacyclic inverse transform: evaluation form (bit-reversed) →
     /// coefficient form.
-    pub fn inverse(&self, p: &Poly) -> Poly {
+    pub fn inverse(&self, p: &[u64]) -> Vec<u64> {
         let q = self.ctx.modulus();
-        let mut c = self.inverse_cyclic(p.coeffs());
+        let mut c = self.inverse_cyclic(p);
         for (i, x) in c.iter_mut().enumerate() {
             *x = mul_mod(*x, self.psi_inv_pow(i), q);
         }
-        Poly::from_coeffs(c, q)
+        c
     }
 
     /// Negacyclic product using only constant-geometry passes.
-    pub fn negacyclic_mul(&self, a: &Poly, b: &Poly) -> Poly {
-        let ea = self.forward(a);
-        let eb = self.forward(b);
-        self.inverse(&ea.hadamard(&eb))
+    pub fn negacyclic_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut ea = self.forward(a);
+        simd::mul_mod_slice(&mut ea, &self.forward(b), self.ctx.modulus());
+        self.inverse(&ea)
     }
 
     fn omega_pow(&self, e: u64) -> u64 {
@@ -290,6 +289,7 @@ impl ShuffleDecomposition {
 mod tests {
     use super::*;
     use crate::ntt::bit_reverse_permute;
+    use crate::plane::negacyclic_mul_schoolbook;
     use crate::prime::generate_ntt_prime;
 
     fn engine(n: usize) -> CgNtt {
@@ -327,9 +327,12 @@ mod tests {
         let n = 32;
         let e = engine(n);
         let q = e.context().modulus();
-        let a = Poly::from_coeffs((0..n as u64).map(|i| i + 1).collect(), q);
-        let b = Poly::from_coeffs((0..n as u64).map(|i| 2 * i + 3).collect(), q);
-        assert_eq!(e.negacyclic_mul(&a, &b), a.negacyclic_mul_schoolbook(&b));
+        let a: Vec<u64> = (0..n as u64).map(|i| i + 1).collect();
+        let b: Vec<u64> = (0..n as u64).map(|i| 2 * i + 3).collect();
+        assert_eq!(
+            e.negacyclic_mul(&a, &b),
+            negacyclic_mul_schoolbook(&a, &b, q)
+        );
     }
 
     #[test]
@@ -337,7 +340,7 @@ mod tests {
         let n = 128;
         let e = engine(n);
         let q = e.context().modulus();
-        let p = Poly::from_coeffs((0..n as u64).map(|i| (i * i) % q).collect(), q);
+        let p: Vec<u64> = (0..n as u64).map(|i| (i * i) % q).collect();
         assert_eq!(e.inverse(&e.forward(&p)), p);
     }
 

@@ -12,7 +12,6 @@
 //! NTT path is exact.
 
 use crate::modops::{from_signed, to_signed};
-use crate::poly::Poly;
 
 /// A complex number as `(re, im)`.
 pub type C64 = (f64, f64);
@@ -123,33 +122,39 @@ fn negacyclic_ifft_f64(data: &mut [C64]) -> Vec<f64> {
 /// intermediate magnitudes stay below the ~2^52 mantissa budget;
 /// beyond that, rounding error leaks into the result — the §VII-D
 /// trade-off.
-pub fn negacyclic_mul_fft(a: &Poly, b: &Poly) -> Poly {
-    assert_eq!(a.dim(), b.dim(), "dimension mismatch");
-    assert_eq!(a.modulus(), b.modulus(), "modulus mismatch");
-    let q = a.modulus();
-    let sa: Vec<i64> = a.coeffs().iter().map(|&c| to_signed(c, q)).collect();
-    let sb: Vec<i64> = b.coeffs().iter().map(|&c| to_signed(c, q)).collect();
+///
+/// # Panics
+///
+/// Panics if the operands' lengths differ.
+pub fn negacyclic_mul_fft(a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
+    assert_eq!(a.len(), b.len(), "dimension mismatch");
+    let sa: Vec<i64> = a.iter().map(|&c| to_signed(c, q)).collect();
+    let sb: Vec<i64> = b.iter().map(|&c| to_signed(c, q)).collect();
     let fa = negacyclic_fft(&sa);
     let fb = negacyclic_fft(&sb);
     let mut prod: Vec<C64> = fa.iter().zip(&fb).map(|(&x, &y)| c_mul(x, y)).collect();
     // Reduce mod q in the f64 domain: magnitudes can exceed i64, and
     // the residual f64 error here *is* the §VII-D precision loss.
     let qf = q as f64;
-    let coeffs: Vec<u64> = negacyclic_ifft_f64(&mut prod)
+    negacyclic_ifft_f64(&mut prod)
         .into_iter()
         .map(|v| {
             let r = v.round().rem_euclid(qf);
             from_signed(r as i64, q)
         })
-        .collect();
-    Poly::from_coeffs(coeffs, q)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ntt::NttContext;
+    use crate::plane::negacyclic_mul_schoolbook;
     use crate::prime::generate_ntt_prime;
+
+    fn residues(signed: &[i64], q: u64) -> Vec<u64> {
+        signed.iter().map(|&v| from_signed(v, q)).collect()
+    }
 
     #[test]
     fn fft_roundtrip() {
@@ -176,12 +181,12 @@ mod tests {
         let n = 256;
         let q = generate_ntt_prime(n, 31).unwrap();
         let ctx = NttContext::new(n, q);
-        let a = Poly::from_signed(&(0..n as i64).map(|i| i % 128 - 64).collect::<Vec<_>>(), q);
-        let b = Poly::from_signed(
+        let a = residues(&(0..n as i64).map(|i| i % 128 - 64).collect::<Vec<_>>(), q);
+        let b = residues(
             &(0..n as i64).map(|i| (i * 7) % 64 - 32).collect::<Vec<_>>(),
             q,
         );
-        assert_eq!(negacyclic_mul_fft(&a, &b), ctx.negacyclic_mul(&a, &b));
+        assert_eq!(negacyclic_mul_fft(&a, &b, q), ctx.negacyclic_mul(&a, &b));
     }
 
     #[test]
@@ -193,13 +198,13 @@ mod tests {
         let q = generate_ntt_prime(n, 31).unwrap();
         let ctx = NttContext::new(n, q);
         let big = (q / 2 - 1) as i64;
-        let a = Poly::from_signed(&vec![big; n], q);
-        let b = Poly::from_signed(&vec![-big; n], q);
+        let a = residues(&vec![big; n], q);
+        let b = residues(&vec![-big; n], q);
         let exact = ctx.negacyclic_mul(&a, &b);
-        let approx = negacyclic_mul_fft(&a, &b);
+        let approx = negacyclic_mul_fft(&a, &b, q);
         assert_ne!(exact, approx, "FFT at full magnitude cannot stay exact");
         // Sanity: the schoolbook reference agrees with the NTT.
-        assert_eq!(exact, a.negacyclic_mul_schoolbook(&b));
+        assert_eq!(exact, negacyclic_mul_schoolbook(&a, &b, q));
     }
 
     #[test]
@@ -210,20 +215,20 @@ mod tests {
         let n = 1024;
         let q = generate_ntt_prime(n, 31).unwrap();
         let ctx = NttContext::new(n, q);
-        let digits = Poly::from_signed(
+        let digits = residues(
             &(0..n as i64).map(|i| (i % 128) - 64).collect::<Vec<_>>(),
             q,
         );
         // Torus operand kept within the product budget:
         // N · B/2 · |m| < 2^52  →  |m| < 2^52 / (2^10 · 2^6) = 2^36.
-        let m = Poly::from_signed(
+        let m = residues(
             &(0..n as i64)
                 .map(|i| (i * 31415) % (1 << 24))
                 .collect::<Vec<_>>(),
             q,
         );
         assert_eq!(
-            negacyclic_mul_fft(&digits, &m),
+            negacyclic_mul_fft(&digits, &m, q),
             ctx.negacyclic_mul(&digits, &m)
         );
     }

@@ -6,7 +6,7 @@
 //! in the digit size instead of the coefficient size.
 
 use crate::modops::{add_mod, from_signed, mul_mod};
-use crate::poly::Poly;
+use crate::plane::{Form, RnsPlane};
 
 /// A base-`2^log_base` gadget with `levels` digits over modulus `q`.
 ///
@@ -123,19 +123,29 @@ impl Gadget {
         acc
     }
 
-    /// Decomposes every coefficient of a polynomial, producing `levels`
-    /// digit polynomials (signed digits mapped into `Z_q`).
-    pub fn decompose_poly(&self, p: &Poly) -> Vec<Poly> {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
+    /// Decomposes every coefficient of a one-limb coefficient-form
+    /// plane over `q`, producing `levels` digit planes (signed digits
+    /// mapped into `Z_q`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` is a single coefficient-form limb over `q`.
+    pub fn decompose_poly(&self, p: &RnsPlane) -> Vec<RnsPlane> {
+        assert_eq!(p.moduli(), [self.q], "modulus mismatch");
+        assert_eq!(
+            p.form(),
+            Form::Coeff,
+            "decomposition needs coefficient form"
+        );
         let n = p.dim();
         let mut out: Vec<Vec<u64>> = vec![vec![0; n]; self.levels];
-        for (i, &c) in p.coeffs().iter().enumerate() {
+        for (i, &c) in p.limb(0).iter().enumerate() {
             for (j, &d) in self.decompose_scalar(c).iter().enumerate() {
                 out[j][i] = from_signed(d, self.q);
             }
         }
         out.into_iter()
-            .map(|v| Poly::from_coeffs(v, self.q))
+            .map(|v| RnsPlane::from_flat_unchecked(v, &[self.q], Form::Coeff))
             .collect()
     }
 
@@ -210,17 +220,23 @@ mod tests {
     fn poly_decompose_recompose() {
         let q = crate::prime::generate_ntt_prime(16, 40).unwrap();
         let g = Gadget::new(q, 10, 5); // 50 bits > 40: exact
-        let p = Poly::from_coeffs((0..16u64).map(|i| i * 999_999 % q).collect(), q);
+        let p = RnsPlane::from_flat(
+            (0..16u64).map(|i| i * 999_999 % q).collect(),
+            &[q],
+            Form::Coeff,
+        );
         let digits = g.decompose_poly(&p);
         assert_eq!(digits.len(), 5);
         // Recompose: sum_j digits_j * weight_j; approximate per
         // coefficient within the gadget error bound.
-        let mut acc = Poly::zero(16, q);
+        let mut acc = RnsPlane::zero(16, &[q], Form::Coeff);
         for (j, dp) in digits.iter().enumerate() {
-            acc = acc.add(&dp.scale(g.weight(j)));
+            let mut term = dp.clone();
+            term.scale_limbs_assign(&[g.weight(j)]);
+            acc.add_assign(&term);
         }
         let bound = g.error_bound() as i64;
-        for (got, want) in acc.coeffs().iter().zip(p.coeffs()) {
+        for (got, want) in acc.limb(0).iter().zip(p.limb(0)) {
             let err = to_signed(
                 if got >= want {
                     got - want

@@ -20,9 +20,10 @@
 //!   that UFC's interconnect co-design is built around ([`cgntt`]),
 //!   plus the double-precision FFT datapath of the Strix baseline
 //!   ([`fft`], §VII-D),
-//! * negacyclic polynomial rings `Z_q[X]/(X^N + 1)` ([`poly`]),
-//! * the flat limb-major RNS data plane with in-place kernels
-//!   ([`plane`]) and dependency-free limb parallelism ([`par`]),
+//! * the one polynomial type over `Z_q[X]/(X^N + 1)`: the flat
+//!   limb-major RNS data plane with in-place kernels ([`plane`]) —
+//!   multi-limb for CKKS, one limb for TFHE — and dependency-free
+//!   limb parallelism ([`par`]),
 //! * residue number systems and fast base conversion (`BConv`)
 //!   ([`rns`]),
 //! * gadget / digit decomposition used by key-switching and RGSW
@@ -40,14 +41,22 @@
 //! ## Example
 //!
 //! ```
-//! use ufc_math::{ntt::NttContext, poly::Poly};
+//! use ufc_math::plane::{negacyclic_mul_schoolbook, Form, RnsPlane};
+//! use ufc_math::NttContext;
 //!
 //! // A negacyclic ring Z_q[X]/(X^8 + 1) with an NTT-friendly prime.
 //! let ctx = NttContext::new(8, ufc_math::prime::generate_ntt_prime(8, 40).unwrap());
-//! let a = Poly::from_coeffs(vec![1, 2, 3, 4, 5, 6, 7, 8], ctx.modulus());
-//! let b = Poly::from_coeffs(vec![8, 7, 6, 5, 4, 3, 2, 1], ctx.modulus());
-//! let c = ctx.negacyclic_mul(&a, &b);
-//! assert_eq!(c.coeffs().len(), 8);
+//! let q = ctx.modulus();
+//! let a = RnsPlane::from_flat(vec![1, 2, 3, 4, 5, 6, 7, 8], &[q], Form::Coeff);
+//! let b = RnsPlane::from_flat(vec![8, 7, 6, 5, 4, 3, 2, 1], &[q], Form::Coeff);
+//!
+//! // Product through the plane: forward NTT, Hadamard, inverse NTT.
+//! let (mut c, mut eb) = (a.clone(), b.clone());
+//! c.ntt_forward(&[&ctx]);
+//! eb.ntt_forward(&[&ctx]);
+//! c.hadamard_assign(&eb);
+//! c.ntt_inverse(&[&ctx]);
+//! assert_eq!(c.limb(0), &negacyclic_mul_schoolbook(a.limb(0), b.limb(0), q)[..]);
 //! ```
 
 #![deny(unsafe_code)]
@@ -60,7 +69,6 @@ pub mod modops;
 pub mod ntt;
 pub mod par;
 pub mod plane;
-pub mod poly;
 pub mod prime;
 pub mod rns;
 pub mod sample;
@@ -72,6 +80,5 @@ pub mod simd;
 
 pub use modops::{inv_mod, mul_mod, pow_mod};
 pub use ntt::{NttContext, NttKernel};
-pub use plane::RnsPlane;
-pub use poly::Poly;
+pub use plane::{Form, RnsPlane};
 pub use rns::RnsBasis;

@@ -70,9 +70,8 @@
 
 use crate::modops::{
     add_mod, ifma_modulus_ok, inv_mod, mul_mod, mul_shoup_lazy, pow_mod, shoup52_precompute,
-    shoup_precompute, sub_mod, Barrett, IFMA_MAX_MODULUS_BITS,
+    shoup_precompute, sub_mod, IFMA_MAX_MODULUS_BITS,
 };
-use crate::poly::Poly;
 use crate::prime::{is_prime, primitive_root_of_unity};
 use crate::simd;
 
@@ -431,8 +430,6 @@ pub struct NttContext {
     psi_inv_n_shoup: Vec<u64>,
     /// Radix-2⁵² companions of `psi_inv_n_pows` (IFMA).
     psi_inv_n_shoup52: Vec<u64>,
-    /// Barrett reducer for the element-wise (hadamard) kernel.
-    barrett: Barrett,
     /// Which butterfly kernel `forward`/`inverse` execute.
     kernel: NttKernel,
 }
@@ -649,7 +646,6 @@ impl NttContext {
             psi_inv_n_pows,
             psi_inv_n_shoup,
             psi_inv_n_shoup52,
-            barrett: Barrett::new(q),
             kernel: NttKernel::Reference,
         })
     }
@@ -722,13 +718,6 @@ impl NttContext {
     #[inline]
     pub fn psi(&self) -> u64 {
         self.psi
-    }
-
-    /// Barrett reducer for this modulus (shared by element-wise
-    /// kernels that operate alongside the transform).
-    #[inline]
-    pub fn barrett(&self) -> &Barrett {
-        &self.barrett
     }
 
     /// Runs the Cooley–Tukey stages with lazy (Harvey) butterflies.
@@ -1554,110 +1543,52 @@ impl NttContext {
         }
     }
 
-    /// Converts a polynomial to evaluation form (out of place).
-    pub fn to_eval(&self, p: &Poly) -> Poly {
-        let mut c = p.coeffs().to_vec();
-        self.forward(&mut c);
-        Poly::from_coeffs_unchecked(c, self.q)
-    }
-
-    /// Converts a polynomial back to coefficient form (out of place).
-    pub fn to_coeff(&self, p: &Poly) -> Poly {
-        let mut c = p.coeffs().to_vec();
-        self.inverse(&mut c);
-        Poly::from_coeffs_unchecked(c, self.q)
-    }
-
-    /// Converts a polynomial to evaluation form in place.
-    pub fn forward_poly(&self, p: &mut Poly) {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
-        self.forward(p.coeffs_mut());
-    }
-
-    /// Converts a polynomial to coefficient form in place.
-    pub fn inverse_poly(&self, p: &mut Poly) {
-        assert_eq!(p.modulus(), self.q, "modulus mismatch");
-        self.inverse(p.coeffs_mut());
-    }
-
     /// Negacyclic polynomial product via NTT:
-    /// `iNTT(NTT(a) ∘ NTT(b))`.
-    pub fn negacyclic_mul(&self, a: &Poly, b: &Poly) -> Poly {
+    /// `iNTT(NTT(a) ∘ NTT(b))`, on reduced coefficient slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand's length is not the ring dimension.
+    pub fn negacyclic_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         let _span =
             ufc_trace::span_full("math", "negacyclic_mul", self.kernel.name(), self.n as u64);
-        let mut out = a.coeffs().to_vec();
+        let mut out = a.to_vec();
         self.forward(&mut out);
-        let mut eb = b.coeffs().to_vec();
+        let mut eb = b.to_vec();
         self.forward(&mut eb);
-        for (x, &y) in out.iter_mut().zip(eb.iter()) {
-            *x = self.barrett.mul(*x, y);
-        }
+        simd::mul_mod_slice(&mut out, &eb, self.q);
         self.inverse(&mut out);
-        Poly::from_coeffs_unchecked(out, self.q)
-    }
-
-    /// In-place negacyclic product: `a ← a * b`, one scratch buffer
-    /// (the NTT image of `b`) instead of the three temporaries the
-    /// out-of-place path used to allocate.
-    pub fn negacyclic_mul_assign(&self, a: &mut Poly, b: &Poly) {
-        let _span =
-            ufc_trace::span_full("math", "negacyclic_mul", self.kernel.name(), self.n as u64);
-        assert_eq!(a.modulus(), self.q, "modulus mismatch");
-        let mut eb = b.coeffs().to_vec();
-        self.forward(&mut eb);
-        let ac = a.coeffs_mut();
-        self.forward(ac);
-        for (x, &y) in ac.iter_mut().zip(eb.iter()) {
-            *x = self.barrett.mul(*x, y);
-        }
-        self.inverse(ac);
-    }
-
-    /// In-place negacyclic product against an operand that is
-    /// *already* in evaluation form: `a ← iNTT(NTT(a) ∘ b_eval)`.
-    /// Zero scratch allocations; the workhorse of cached-key external
-    /// products.
-    pub fn negacyclic_mul_assign_eval(&self, a: &mut Poly, b_eval: &Poly) {
-        let _span = ufc_trace::span_full(
-            "math",
-            "negacyclic_mul_eval",
-            self.kernel.name(),
-            self.n as u64,
-        );
-        assert_eq!(a.modulus(), self.q, "modulus mismatch");
-        let ac = a.coeffs_mut();
-        self.forward(ac);
-        for (x, &y) in ac.iter_mut().zip(b_eval.coeffs().iter()) {
-            *x = self.barrett.mul(*x, y);
-        }
-        self.inverse(ac);
+        out
     }
 
     /// Seed negacyclic product — the bench-math baseline. Replicates
-    /// the seed call chain verbatim: `to_eval(a)`, `to_eval(b)`,
-    /// `hadamard`, `to_coeff`, each step allocating a fresh `Poly` and
-    /// re-reducing its coefficients with `%`, with `%`-based
-    /// butterflies inside the transforms.
-    pub fn negacyclic_mul_reference(&self, a: &Poly, b: &Poly) -> Poly {
-        let seed_to_eval = |p: &Poly| -> Poly {
-            let mut c = p.coeffs().to_vec();
+    /// the seed call chain: copy and transform each operand with the
+    /// `%`-based butterflies, re-reduce with `%`, multiply point-wise
+    /// with one `u128 %` per coefficient into a fresh allocation,
+    /// re-reduce, and inverse-transform.
+    pub fn negacyclic_mul_reference(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let q = self.q;
+        let reduced = |mut c: Vec<u64>| -> Vec<u64> {
+            for x in &mut c {
+                *x %= q;
+            }
+            c
+        };
+        let seed_to_eval = |p: &[u64]| -> Vec<u64> {
+            let mut c = p.to_vec();
             self.forward_reference(&mut c);
-            Poly::from_coeffs(c, self.q)
+            reduced(c)
         };
         let ea = seed_to_eval(a);
         let eb = seed_to_eval(b);
-        // Seed `Poly::hadamard`: one `u128 %` per coefficient into a
-        // fresh allocation.
         let prod: Vec<u64> = ea
-            .coeffs()
             .iter()
-            .zip(eb.coeffs())
-            .map(|(&x, &y)| mul_mod(x, y, self.q))
+            .zip(&eb)
+            .map(|(&x, &y)| mul_mod(x, y, q))
             .collect();
-        let he = Poly::from_coeffs(prod, self.q);
-        let mut c = he.coeffs().to_vec();
+        let mut c = reduced(prod);
         self.inverse_reference(&mut c);
-        Poly::from_coeffs(c, self.q)
+        reduced(c)
     }
 }
 
@@ -1688,6 +1619,7 @@ pub fn bit_reverse_permute<T>(a: &mut [T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane::negacyclic_mul_schoolbook;
     use crate::prime::generate_ntt_prime;
     use proptest::prelude::*;
 
@@ -1910,9 +1842,10 @@ mod tests {
     fn forced_kernels_agree_on_negacyclic_mul() {
         let n = 64;
         let base = ctx(n);
-        let a = Poly::from_coeffs((0..n as u64).map(|i| i * 17 + 3).collect(), base.modulus());
-        let b = Poly::from_coeffs((0..n as u64).map(|i| i * 5 + 9).collect(), base.modulus());
-        let expect = a.negacyclic_mul_schoolbook(&b);
+        let q = base.modulus();
+        let a: Vec<u64> = (0..n as u64).map(|i| (i * 17 + 3) % q).collect();
+        let b: Vec<u64> = (0..n as u64).map(|i| (i * 5 + 9) % q).collect();
+        let expect = negacyclic_mul_schoolbook(&a, &b, q);
         for k in NttKernel::ALL {
             let c = base.clone().with_kernel(k);
             assert_eq!(c.kernel(), k);
@@ -1936,31 +1869,12 @@ mod tests {
     fn ntt_mul_matches_schoolbook() {
         let n = 32;
         let c = ctx(n);
-        let a = Poly::from_coeffs((0..n as u64).map(|i| i * i + 3).collect(), c.modulus());
-        let b = Poly::from_coeffs((0..n as u64).map(|i| 5 * i + 11).collect(), c.modulus());
-        assert_eq!(c.negacyclic_mul(&a, &b), a.negacyclic_mul_schoolbook(&b));
-        assert_eq!(
-            c.negacyclic_mul_reference(&a, &b),
-            a.negacyclic_mul_schoolbook(&b)
-        );
-    }
-
-    #[test]
-    fn mul_assign_variants_match_out_of_place() {
-        let n = 64;
-        let c = ctx(n);
-        let a = Poly::from_coeffs((0..n as u64).map(|i| i * 13 + 7).collect(), c.modulus());
-        let b = Poly::from_coeffs((0..n as u64).map(|i| i * 3 + 1).collect(), c.modulus());
-        let expected = c.negacyclic_mul(&a, &b);
-
-        let mut x = a.clone();
-        c.negacyclic_mul_assign(&mut x, &b);
-        assert_eq!(x, expected);
-
-        let mut y = a.clone();
-        let b_eval = c.to_eval(&b);
-        c.negacyclic_mul_assign_eval(&mut y, &b_eval);
-        assert_eq!(y, expected);
+        let q = c.modulus();
+        let a: Vec<u64> = (0..n as u64).map(|i| (i * i + 3) % q).collect();
+        let b: Vec<u64> = (0..n as u64).map(|i| (5 * i + 11) % q).collect();
+        let expect = negacyclic_mul_schoolbook(&a, &b, q);
+        assert_eq!(c.negacyclic_mul(&a, &b), expect);
+        assert_eq!(c.negacyclic_mul_reference(&a, &b), expect);
     }
 
     #[test]
@@ -1969,12 +1883,12 @@ mod tests {
         // evaluation points are the primitive 2N-th roots.
         let n = 16;
         let c = ctx(n);
-        let x = Poly::monomial(1, 1, n, c.modulus());
-        let eval = c.to_eval(&x);
+        let mut got = vec![0u64; n];
+        got[1] = 1;
+        c.forward(&mut got);
         let mut expected: Vec<u64> = (0..n)
             .map(|i| pow_mod(c.psi(), (2 * i + 1) as u64, c.modulus()))
             .collect();
-        let mut got = eval.coeffs().to_vec();
         expected.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -1984,9 +1898,9 @@ mod tests {
     fn constant_poly_is_fixed_point() {
         let n = 8;
         let c = ctx(n);
-        let k = Poly::from_coeffs(vec![42, 0, 0, 0, 0, 0, 0, 0], c.modulus());
-        let eval = c.to_eval(&k);
-        assert!(eval.coeffs().iter().all(|&v| v == 42));
+        let mut k = vec![42, 0, 0, 0, 0, 0, 0, 0];
+        c.forward(&mut k);
+        assert!(k.iter().all(|&v| v == 42));
     }
 
     proptest! {
@@ -2030,8 +1944,8 @@ mod tests {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 rng % c.modulus()
             };
-            let a = Poly::from_coeffs((0..n).map(|_| next()).collect(), c.modulus());
-            let b = Poly::from_coeffs((0..n).map(|_| next()).collect(), c.modulus());
+            let a: Vec<u64> = (0..n).map(|_| next()).collect();
+            let b: Vec<u64> = (0..n).map(|_| next()).collect();
             prop_assert_eq!(c.negacyclic_mul(&a, &b), c.negacyclic_mul(&b, &a));
         }
 
@@ -2044,11 +1958,15 @@ mod tests {
                 rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 rng % c.modulus()
             };
-            let a = Poly::from_coeffs((0..n).map(|_| next()).collect(), c.modulus());
-            let b = Poly::from_coeffs((0..n).map(|_| next()).collect(), c.modulus());
-            let d = Poly::from_coeffs((0..n).map(|_| next()).collect(), c.modulus());
-            let lhs = c.negacyclic_mul(&a, &b.add(&d));
-            let rhs = c.negacyclic_mul(&a, &b).add(&c.negacyclic_mul(&a, &d));
+            let q = c.modulus();
+            let add = |x: &[u64], y: &[u64]| -> Vec<u64> {
+                x.iter().zip(y).map(|(&u, &v)| add_mod(u, v, q)).collect()
+            };
+            let a: Vec<u64> = (0..n).map(|_| next()).collect();
+            let b: Vec<u64> = (0..n).map(|_| next()).collect();
+            let d: Vec<u64> = (0..n).map(|_| next()).collect();
+            let lhs = c.negacyclic_mul(&a, &add(&b, &d));
+            let rhs = add(&c.negacyclic_mul(&a, &b), &c.negacyclic_mul(&a, &d));
             prop_assert_eq!(lhs, rhs);
         }
     }

@@ -58,7 +58,8 @@ pub fn effective_threads() -> usize {
 
 /// Applies `f(limb_index, limb_chunk)` to every `n`-element chunk of
 /// the flat limb-major buffer `data`, in parallel across limbs when
-/// profitable.
+/// profitable. Every limb of a multi-limb buffer runs under a
+/// `math/par_limb` span; a single-limb buffer runs inline without one.
 ///
 /// # Panics
 ///
@@ -72,8 +73,21 @@ where
     }
     assert_eq!(data.len() % n, 0, "flat buffer must be whole limbs");
     let limbs = data.len() / n;
-    let threads = effective_threads().min(limbs);
-    if threads <= 1 || limbs < 2 || data.len() < PAR_MIN_WORK {
+    if limbs == 1 {
+        // A one-limb buffer (every TFHE polynomial) is not a fan-out:
+        // no per-limb span, no thread-count query.
+        f(0, data);
+        return;
+    }
+    // Size first: below the cutoff the thread count is irrelevant, and
+    // querying it (`available_parallelism`) costs more than a small
+    // plane op.
+    let threads = if data.len() < PAR_MIN_WORK {
+        1
+    } else {
+        effective_threads().min(limbs)
+    };
+    if threads <= 1 {
         for (i, chunk) in data.chunks_mut(n).enumerate() {
             let _limb = ufc_trace::span_n("math", "par_limb", i as u64);
             f(i, chunk);

@@ -7,7 +7,6 @@
 //! pipelines; UFC runs the same MACs on its general modular lanes.
 
 use crate::modops::{add_mod, inv_mod, mul_mod, mul_shoup, shoup_precompute, sub_mod};
-use crate::poly::Poly;
 
 /// An RNS basis: a list of pairwise-coprime word-size moduli.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,28 +275,6 @@ impl BaseConverter {
         }
         out
     }
-
-    /// Converts a polynomial given as one limb per source modulus;
-    /// returns one limb per target modulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if limb moduli do not match the source basis, or limb
-    /// dimensions differ.
-    pub fn convert_poly(&self, limbs: &[Poly]) -> Vec<Poly> {
-        assert_eq!(limbs.len(), self.from.len(), "limb count mismatch");
-        let n = limbs[0].dim();
-        for (j, l) in limbs.iter().enumerate() {
-            assert_eq!(l.modulus(), self.from.moduli[j], "limb modulus mismatch");
-            assert_eq!(l.dim(), n, "limb dimension mismatch");
-        }
-        let rows: Vec<&[u64]> = limbs.iter().map(Poly::coeffs).collect();
-        let flat = self.convert_rows(&rows);
-        flat.chunks(n)
-            .zip(&self.to)
-            .map(|(chunk, &p)| Poly::from_coeffs_unchecked(chunk.to_vec(), p))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -376,18 +353,19 @@ mod tests {
         let to = generate_ntt_primes(1 << 10, 41, 2);
         let conv = BaseConverter::new(&from, &to);
         let n = 8;
-        let limbs: Vec<Poly> = from
+        let limbs: Vec<Vec<u64>> = from
             .moduli()
             .iter()
-            .map(|&q| Poly::from_coeffs((0..n as u64).map(|i| i * 17 % q).collect(), q))
+            .map(|&q| (0..n as u64).map(|i| i * 17 % q).collect())
             .collect();
-        let out = conv.convert_poly(&limbs);
-        assert_eq!(out.len(), 2);
+        let rows: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+        let out = conv.convert_rows(&rows);
+        assert_eq!(out.len(), 2 * n);
         for c in 0..n {
-            let residues: Vec<u64> = limbs.iter().map(|l| l.coeffs()[c]).collect();
+            let residues: Vec<u64> = limbs.iter().map(|l| l[c]).collect();
             let expect = conv.convert_scalar(&residues);
             for i in 0..2 {
-                assert_eq!(out[i].coeffs()[c], expect[i]);
+                assert_eq!(out[i * n + c], expect[i]);
             }
         }
     }

@@ -1,18 +1,27 @@
 //! Randomness for FHE: uniform ring elements, ternary/binary secrets,
 //! and rounded-Gaussian noise.
+//!
+//! Small-norm samples (secrets, noise) come out as centered `i64`
+//! coefficients: RNS limbs must be residues of one integer polynomial,
+//! so callers reduce a single draw into every limb with
+//! [`RnsPlane::from_signed`]. Uniform ring elements are drawn per limb.
 
-use crate::poly::Poly;
+use crate::plane::{Form, RnsPlane};
 use rand::Rng;
 
-/// Samples a uniformly random polynomial over `Z_q`.
-pub fn uniform_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Poly {
-    Poly::from_coeffs((0..n).map(|_| rng.gen_range(0..q)).collect(), q)
+/// Samples a uniformly random coefficient-form plane: limb by limb,
+/// `n` draws from `0..q_i` each.
+pub fn uniform_plane<R: Rng + ?Sized>(rng: &mut R, n: usize, moduli: &[u64]) -> RnsPlane {
+    let mut data = Vec::with_capacity(n * moduli.len());
+    for &q in moduli {
+        data.extend((0..n).map(|_| rng.gen_range(0..q)));
+    }
+    RnsPlane::from_flat_unchecked(data, moduli, Form::Coeff)
 }
 
-/// Samples a ternary secret polynomial with coefficients in `{-1,0,1}`.
-pub fn ternary_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64) -> Poly {
-    let signed: Vec<i64> = (0..n).map(|_| rng.gen_range(-1..=1)).collect();
-    Poly::from_signed(&signed, q)
+/// Samples a ternary secret: `n` centered coefficients in `{-1,0,1}`.
+pub fn ternary_signed<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
+    (0..n).map(|_| rng.gen_range(-1..=1)).collect()
 }
 
 /// Samples a binary secret vector (for LWE keys).
@@ -29,10 +38,9 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> i64 {
     (z * sigma).round() as i64
 }
 
-/// Samples a noise polynomial with rounded-Gaussian coefficients.
-pub fn gaussian_poly<R: Rng + ?Sized>(rng: &mut R, n: usize, q: u64, sigma: f64) -> Poly {
-    let signed: Vec<i64> = (0..n).map(|_| gaussian(rng, sigma)).collect();
-    Poly::from_signed(&signed, q)
+/// Samples `n` centered rounded-Gaussian noise coefficients.
+pub fn gaussian_signed<R: Rng + ?Sized>(rng: &mut R, n: usize, sigma: f64) -> Vec<i64> {
+    (0..n).map(|_| gaussian(rng, sigma)).collect()
 }
 
 #[cfg(test)]
@@ -44,16 +52,16 @@ mod tests {
     #[test]
     fn uniform_stays_reduced() {
         let mut rng = StdRng::seed_from_u64(7);
-        let p = uniform_poly(&mut rng, 256, 97);
-        assert!(p.coeffs().iter().all(|&c| c < 97));
+        let p = uniform_plane(&mut rng, 256, &[97, 193]);
+        assert!(p.limb(0).iter().all(|&c| c < 97));
+        assert!(p.limb(1).iter().all(|&c| c < 193));
     }
 
     #[test]
     fn ternary_values_are_ternary() {
         let mut rng = StdRng::seed_from_u64(8);
-        let q = 1_000_003;
-        let p = ternary_poly(&mut rng, 512, q);
-        assert!(p.coeffs().iter().all(|&c| c == 0 || c == 1 || c == q - 1));
+        let s = ternary_signed(&mut rng, 512);
+        assert!(s.iter().all(|&c| (-1..=1).contains(&c)));
     }
 
     #[test]
@@ -83,8 +91,11 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = uniform_poly(&mut StdRng::seed_from_u64(42), 64, 12289);
-        let b = uniform_poly(&mut StdRng::seed_from_u64(42), 64, 12289);
+        let a = uniform_plane(&mut StdRng::seed_from_u64(42), 64, &[12289]);
+        let b = uniform_plane(&mut StdRng::seed_from_u64(42), 64, &[12289]);
         assert_eq!(a, b);
+        // Limb by limb: a two-limb draw starts with the one-limb draw.
+        let two = uniform_plane(&mut StdRng::seed_from_u64(42), 64, &[12289, 40961]);
+        assert_eq!(two.limb(0), a.limb(0));
     }
 }

@@ -20,8 +20,7 @@
 use proptest::prelude::*;
 use ufc_math::modops::{add_mod, ifma_modulus_ok, mul_mod, mul_shoup, shoup_precompute, sub_mod};
 use ufc_math::ntt::{NttContext, NttKernel};
-use ufc_math::plane::RnsPlane;
-use ufc_math::poly::{Form, Poly};
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::{generate_ntt_prime, generate_ntt_primes};
 use ufc_math::simd;
 use ufc_math::simd::mul_mod_barrett52;
@@ -62,6 +61,13 @@ fn contexts_for(log_n: usize) -> Vec<NttContext> {
         .collect()
 }
 
+/// `n` reproducible residues mod `q`: the one-limb pseudorandom plane.
+fn pseudorandom(n: usize, q: u64, seed: u64) -> Vec<u64> {
+    RnsPlane::pseudorandom(n, &[q], seed, Form::Coeff)
+        .flat()
+        .to_vec()
+}
+
 /// O(n²) schoolbook negacyclic product, the ground-truth oracle:
 /// `c_k = Σ_{i+j≡k} ± a_i·b_j` with a sign flip on wrap-around.
 fn schoolbook_negacyclic(a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
@@ -89,7 +95,7 @@ fn forward_bit_identical_across_kernels() {
             let n = ctx.dim();
             let q = ctx.modulus();
             let kernels = kernels_for(q);
-            let data = Poly::pseudorandom(n, q, 0xF0F0 ^ (log_n as u64)).into_coeffs();
+            let data = pseudorandom(n, q, 0xF0F0 ^ (log_n as u64));
             let outputs: Vec<Vec<u64>> = kernels
                 .iter()
                 .map(|&k| {
@@ -114,7 +120,7 @@ fn inverse_bit_identical_across_kernels_and_roundtrips() {
         for ctx in contexts_for(log_n) {
             let n = ctx.dim();
             let q = ctx.modulus();
-            let coeffs = Poly::pseudorandom(n, q, 0xBEEF ^ (log_n as u64)).into_coeffs();
+            let coeffs = pseudorandom(n, q, 0xBEEF ^ (log_n as u64));
             // A genuine evaluation-form vector (any reduced vector
             // would do, but a real one also pins the round trip).
             let mut eval = coeffs.clone();
@@ -148,17 +154,16 @@ fn negacyclic_mul_bit_identical_across_kernels() {
         for ctx in contexts_for(log_n) {
             let n = ctx.dim();
             let q = ctx.modulus();
-            let a = Poly::pseudorandom(n, q, 11 + log_n as u64);
-            let b = Poly::pseudorandom(n, q, 23 + log_n as u64);
+            let a = pseudorandom(n, q, 11 + log_n as u64);
+            let b = pseudorandom(n, q, 23 + log_n as u64);
             let kernels = kernels_for(q);
-            let products: Vec<Poly> = kernels
+            let products: Vec<Vec<u64>> = kernels
                 .iter()
                 .map(|&k| ctx.clone().with_kernel(k).negacyclic_mul(&a, &b))
                 .collect();
             for (k, p) in kernels.iter().zip(&products) {
                 assert_eq!(
-                    p.coeffs(),
-                    products[0].coeffs(),
+                    *p, products[0],
                     "negacyclic mul under {k} diverged at n=2^{log_n}, q={q}"
                 );
             }
@@ -172,17 +177,16 @@ fn negacyclic_mul_matches_schoolbook_oracle() {
         let n = 1 << log_n;
         for q in generate_ntt_primes(n, 40, 2) {
             let ctx = NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap();
-            let a = Poly::pseudorandom(n, q, 7 + log_n as u64);
-            let b = Poly::pseudorandom(n, q, 13 + log_n as u64);
-            let want = schoolbook_negacyclic(a.coeffs(), b.coeffs(), q);
+            let a = pseudorandom(n, q, 7 + log_n as u64);
+            let b = pseudorandom(n, q, 13 + log_n as u64);
+            let want = schoolbook_negacyclic(&a, &b, q);
             // 40-bit primes sit inside the IFMA window, so all three
             // generations (portable lanes on non-IFMA hosts) face the
             // oracle here.
             for k in kernels_for(q) {
                 let got = ctx.clone().with_kernel(k).negacyclic_mul(&a, &b);
                 assert_eq!(
-                    got.coeffs(),
-                    &want[..],
+                    got, want,
                     "negacyclic mul under {k} disagrees with the schoolbook oracle \
                      at n={n}, q={q}"
                 );
@@ -340,12 +344,7 @@ fn rns_plane_transforms_bit_identical_across_kernels() {
             .map(|&q| NttContext::try_new_with_kernel(n, q, NttKernel::Reference).unwrap())
             .collect();
         let table_refs: Vec<&NttContext> = tables.iter().collect();
-        let polys: Vec<Poly> = moduli
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| Poly::pseudorandom(n, q, 1000 + i as u64))
-            .collect();
-        let coeff_plane = RnsPlane::from_polys(&polys, Form::Coeff);
+        let coeff_plane = RnsPlane::pseudorandom(n, &moduli, 1000, Form::Coeff);
         // A plane kernel must be valid for every residue modulus; the
         // 50-bit primes here keep all three generations in play.
         let kernels: Vec<NttKernel> = NttKernel::ALL

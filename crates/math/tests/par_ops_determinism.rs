@@ -11,8 +11,7 @@
 //! host and the modulus, never on which worker thread runs the op.
 
 use ufc_math::par::{par_ops_on, set_max_threads};
-use ufc_math::plane::RnsPlane;
-use ufc_math::poly::{Form, Poly};
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::generate_ntt_primes;
 
 /// One independent op of the synthetic trace: a plane plus the two
@@ -26,14 +25,8 @@ struct TraceOp {
 fn build_trace(n: usize, moduli: &[u64], ops: usize) -> Vec<TraceOp> {
     (0..ops)
         .map(|i| {
-            let mk = |salt: u64| {
-                let polys: Vec<Poly> = moduli
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &q)| Poly::pseudorandom(n, q, salt + 97 * i as u64 + l as u64))
-                    .collect();
-                RnsPlane::from_polys(&polys, Form::Eval)
-            };
+            let mk =
+                |salt: u64| RnsPlane::pseudorandom(n, moduli, salt + 97 * i as u64, Form::Eval);
             TraceOp {
                 acc: mk(1),
                 a: mk(2),

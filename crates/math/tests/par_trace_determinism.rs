@@ -1,7 +1,8 @@
 //! Aggregated span metrics from `par_limbs` must not depend on the
 //! worker-thread count: every limb is processed (and traced) exactly
 //! once whether the fan-out runs serially or across scoped threads,
-//! and the data it produces is bit-identical.
+//! and the data it produces is bit-identical. A one-limb buffer is not
+//! a fan-out and leaves no `math/par_limb` span at all.
 //!
 //! Single `#[test]`: the `ufc-trace` recorder is process-global and
 //! the cargo harness runs tests in one binary concurrently.
@@ -90,5 +91,21 @@ fn span_aggregates_and_data_are_thread_count_invariant() {
         worker_threads.len(),
         4,
         "each worker gets its own thread id"
+    );
+
+    // A single limb runs inline: the work happens, no span is left.
+    let mut one: Vec<u64> = (0..N).map(|v| v as u64 | 1).collect();
+    let expect = {
+        let mut e = one.clone();
+        work(0, &mut e);
+        e
+    };
+    let recorder = ufc_trace::record().expect("no other recording is live");
+    par_limbs(N, &mut one, work);
+    let single_trace = recorder.finish();
+    assert_eq!(one, expect);
+    assert!(
+        limb_details(&single_trace).is_empty(),
+        "a one-limb buffer must not emit par_limb spans"
     );
 }

@@ -4,8 +4,10 @@
 //! Three claims are exercised here, each a load-bearing invariant of
 //! the zero-copy refactor:
 //!
-//! 1. every [`RnsPlane`] operation is bit-identical to running the
-//!    corresponding [`Poly`] kernel limb by limb;
+//! 1. every [`RnsPlane`] operation is bit-identical to its scalar
+//!    definition — the per-element `modops` formula, the slice
+//!    automorphism, the single-modulus NTT product — applied limb by
+//!    limb;
 //! 2. the lazy Harvey butterflies round-trip (and stay fully reduced)
 //!    for *every* prime [`generate_ntt_primes`] can emit, across ring
 //!    dimensions and modulus widths;
@@ -13,10 +15,11 @@
 //!    matter how many worker threads `par_limbs` fans out to.
 
 use proptest::prelude::*;
+use ufc_math::automorph::{apply_coeff_slice, apply_eval_slice};
+use ufc_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
 use ufc_math::ntt::NttContext;
 use ufc_math::par::set_max_threads;
-use ufc_math::plane::RnsPlane;
-use ufc_math::poly::{Form, Poly};
+use ufc_math::plane::{negacyclic_mul_schoolbook, Form, RnsPlane};
 use ufc_math::prime::generate_ntt_primes;
 
 /// Deterministic splitmix-style generator for bulk test data.
@@ -40,47 +43,48 @@ fn random_plane(seed: u64, n: usize, moduli: &[u64], form: Form) -> RnsPlane {
     RnsPlane::from_flat_unchecked(data, moduli, form)
 }
 
-/// The per-limb [`Poly`] images of a plane.
-fn limb_polys(p: &RnsPlane) -> Vec<Poly> {
-    (0..p.limb_count()).map(|i| p.limb_poly(i)).collect()
+/// Applies `f(a_j, b_j, q_i)` to every residue pair, limb by limb —
+/// the scalar definition a plane kernel must reproduce.
+fn per_element(a: &RnsPlane, b: &RnsPlane, f: impl Fn(u64, u64, u64) -> u64) -> Vec<u64> {
+    (0..a.limb_count())
+        .flat_map(|i| {
+            let q = a.modulus(i);
+            a.limb(i)
+                .iter()
+                .zip(b.limb(i))
+                .map(|(&x, &y)| f(x, y, q))
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
-fn assert_limbs_match(plane: &RnsPlane, polys: &[Poly], what: &str) {
-    for (i, poly) in polys.iter().enumerate() {
-        assert_eq!(plane.limb(i), poly.coeffs(), "{what}: limb {i} diverged");
-    }
-}
-
-// ----------------------------------------- plane vs per-limb Poly ops
+// ------------------------------- plane vs per-element modops formulas
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Element-wise plane kernels (Barrett/Shoup) against the scalar
-    /// Poly kernels, limb by limb, over a 3-limb basis.
+    /// Element-wise plane kernels (the `simd` dispatch table) against
+    /// the scalar `modops` formulas, over a 3-limb basis.
     #[test]
-    fn prop_elementwise_plane_ops_match_poly(seed in any::<u64>()) {
+    fn prop_elementwise_plane_ops_match_modops(seed in any::<u64>()) {
         let n = 32;
         let moduli = generate_ntt_primes(n, 40, 3);
         prop_assert_eq!(moduli.len(), 3);
         let a = random_plane(seed, n, &moduli, Form::Coeff);
         let b = random_plane(seed.wrapping_add(1), n, &moduli, Form::Coeff);
-        let (pa, pb) = (limb_polys(&a), limb_polys(&b));
 
         let mut sum = a.clone();
         sum.add_assign(&b);
-        let expect: Vec<Poly> = pa.iter().zip(&pb).map(|(x, y)| x.add(y)).collect();
-        assert_limbs_match(&sum, &expect, "add");
+        prop_assert_eq!(sum.flat(), &per_element(&a, &b, add_mod)[..], "add");
 
         let mut diff = a.clone();
         diff.sub_assign(&b);
-        let expect: Vec<Poly> = pa.iter().zip(&pb).map(|(x, y)| x.sub(y)).collect();
-        assert_limbs_match(&diff, &expect, "sub");
+        prop_assert_eq!(diff.flat(), &per_element(&a, &b, sub_mod)[..], "sub");
 
         let mut neg = a.clone();
         neg.neg_assign();
-        let expect: Vec<Poly> = pa.iter().map(Poly::neg).collect();
-        assert_limbs_match(&neg, &expect, "neg");
+        let expect = per_element(&a, &b, |x, _, q| neg_mod(x, q));
+        prop_assert_eq!(neg.flat(), &expect[..], "neg");
 
         let scalars: Vec<u64> = {
             let mut next = stream(seed.wrapping_add(2));
@@ -88,35 +92,30 @@ proptest! {
         };
         let mut scaled = a.clone();
         scaled.scale_limbs_assign(&scalars);
-        let expect: Vec<Poly> = pa
-            .iter()
-            .zip(&scalars)
-            .map(|(x, &s)| x.scale(s))
+        let expect: Vec<u64> = (0..3)
+            .flat_map(|i| {
+                let (q, s) = (moduli[i], scalars[i]);
+                a.limb(i).iter().map(move |&x| mul_mod(x, s, q))
+            })
             .collect();
-        assert_limbs_match(&scaled, &expect, "scale_limbs");
+        prop_assert_eq!(scaled.flat(), &expect[..], "scale_limbs");
 
         // Hadamard and MAC are evaluation-form-only on the plane.
         let ea = random_plane(seed.wrapping_add(3), n, &moduli, Form::Eval);
         let eb = random_plane(seed.wrapping_add(4), n, &moduli, Form::Eval);
-        let (pea, peb) = (limb_polys(&ea), limb_polys(&eb));
 
         let mut had = ea.clone();
         had.hadamard_assign(&eb);
-        let expect: Vec<Poly> = pea.iter().zip(&peb).map(|(x, y)| x.hadamard(y)).collect();
-        assert_limbs_match(&had, &expect, "hadamard");
+        prop_assert_eq!(had.flat(), &per_element(&ea, &eb, mul_mod)[..], "hadamard");
 
         let mut mac = ea.clone();
         mac.mac_assign(&eb, &had);
-        let expect: Vec<Poly> = pea
-            .iter()
-            .zip(peb.iter().zip(&expect))
-            .map(|(acc, (x, y))| {
-                let mut acc = acc.clone();
-                acc.mac_assign(x, y);
-                acc
-            })
-            .collect();
-        assert_limbs_match(&mac, &expect, "mac");
+        let products = RnsPlane::from_flat_unchecked(
+            per_element(&eb, &had, mul_mod),
+            &moduli,
+            Form::Eval,
+        );
+        prop_assert_eq!(mac.flat(), &per_element(&ea, &products, add_mod)[..], "mac");
     }
 
     /// Plane automorphisms against the per-limb slice kernels, in both
@@ -131,20 +130,21 @@ proptest! {
             let mut moved = a.clone();
             moved.automorph_assign(k);
             for i in 0..a.limb_count() {
-                let p = a.limb_poly(i);
-                let expect = match form {
-                    Form::Coeff => ufc_math::automorph::apply_coeff(&p, k),
-                    Form::Eval => ufc_math::automorph::apply_eval(&p, k),
-                };
-                prop_assert_eq!(moved.limb(i), expect.coeffs(), "form {:?} limb {}", form, i);
+                let mut expect = vec![0u64; n];
+                match form {
+                    Form::Coeff => apply_coeff_slice(a.limb(i), &mut expect, k, a.modulus(i)),
+                    Form::Eval => apply_eval_slice(a.limb(i), &mut expect, k),
+                }
+                prop_assert_eq!(moved.limb(i), &expect[..], "form {:?} limb {}", form, i);
             }
         }
     }
 
     /// The full plane product chain (forward NTT, Hadamard, inverse)
-    /// against `NttContext::negacyclic_mul` run limb by limb.
+    /// against `NttContext::negacyclic_mul` and the schoolbook oracle,
+    /// run limb by limb.
     #[test]
-    fn prop_plane_ntt_mul_matches_poly_path(seed in any::<u64>()) {
+    fn prop_plane_ntt_mul_matches_slice_path(seed in any::<u64>()) {
         let n = 64;
         let moduli = generate_ntt_primes(n, 45, 3);
         let tables: Vec<NttContext> =
@@ -163,8 +163,10 @@ proptest! {
         prop_assert_eq!(prod.form(), Form::Coeff);
 
         for (i, table) in tables.iter().enumerate() {
-            let expect = table.negacyclic_mul(&a.limb_poly(i), &b.limb_poly(i));
-            prop_assert_eq!(prod.limb(i), expect.coeffs(), "limb {}", i);
+            let expect = table.negacyclic_mul(a.limb(i), b.limb(i));
+            prop_assert_eq!(prod.limb(i), &expect[..], "limb {}", i);
+            let oracle = negacyclic_mul_schoolbook(a.limb(i), b.limb(i), moduli[i]);
+            prop_assert_eq!(&expect, &oracle, "limb {} vs schoolbook", i);
         }
     }
 

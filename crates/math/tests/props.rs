@@ -5,10 +5,10 @@ use ufc_math::cgntt::{perfect_shuffle_dest, CgNtt, ShuffleDecomposition};
 use ufc_math::fft::negacyclic_mul_fft;
 use ufc_math::modops::{add_mod, inv_mod, mul_mod, neg_mod, pow_mod, sub_mod, Barrett, ShoupMul};
 use ufc_math::ntt::NttContext;
-use ufc_math::poly::Poly;
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::generate_ntt_prime;
 
-fn random_poly(seed: u64, n: usize, q: u64) -> Poly {
+fn random_poly(seed: u64, n: usize, q: u64) -> Vec<u64> {
     let mut x = seed | 1;
     let mut next = move || {
         x = x
@@ -16,7 +16,7 @@ fn random_poly(seed: u64, n: usize, q: u64) -> Poly {
             .wrapping_add(1442695040888963407);
         x
     };
-    Poly::from_coeffs((0..n).map(|_| next() % q).collect(), q)
+    (0..n).map(|_| next() % q).collect()
 }
 
 proptest! {
@@ -55,9 +55,10 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(99);
             (x % 256) as i64 - 128
         };
-        let a = Poly::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), q);
-        let b = Poly::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), q);
-        prop_assert_eq!(negacyclic_mul_fft(&a, &b), ctx.negacyclic_mul(&a, &b));
+        let a = RnsPlane::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), &[q]);
+        let b = RnsPlane::from_signed(&(0..n).map(|_| next()).collect::<Vec<_>>(), &[q]);
+        let (a, b) = (a.limb(0), b.limb(0));
+        prop_assert_eq!(negacyclic_mul_fft(a, b, q), ctx.negacyclic_mul(a, b));
     }
 
     #[test]
@@ -65,9 +66,10 @@ proptest! {
         let n = 64;
         let q = generate_ntt_prime(n, 40).unwrap();
         let ctx = NttContext::new(n, q);
-        let a = random_poly(seed, n, q);
-        let m = Poly::monomial(1, k % (2 * n), n, q);
-        prop_assert_eq!(ctx.negacyclic_mul(&a, &m), a.rotate_monomial(k % (2 * n)));
+        let a = RnsPlane::from_flat_unchecked(random_poly(seed, n, q), &[q], Form::Coeff);
+        let m = RnsPlane::monomial(1, k % (2 * n), n, &[q]);
+        let rotated = a.rotate_monomial(k % (2 * n));
+        prop_assert_eq!(&ctx.negacyclic_mul(a.limb(0), m.limb(0))[..], rotated.limb(0));
     }
 }
 

@@ -17,7 +17,7 @@
 //!   position `k`, so the whole batch needs only the `2N` digit tables
 //!   `decompose(−c1[k])` / `decompose(c1[k])`, computed **once**; the
 //!   digit loop then runs digit-major against a digit-major
-//!   reorganized KSK ([`DigitMajorKsk`]), accumulating in place into
+//!   reorganized KSK (`DigitMajorKsk`), accumulating in place into
 //!   preallocated LWE buffers. Because `Z_q` accumulation is exactly
 //!   associative and commutative, the result is **bit-identical** to
 //!   the per-index path (pinned by the conformance suite).
@@ -29,6 +29,7 @@ use ufc_ckks::{Ciphertext as CkksCiphertext, CkksContext, Evaluator as CkksEvalu
 use ufc_isa::trace::TraceOp;
 use ufc_math::gadget::Gadget;
 use ufc_math::modops::{from_signed, mul_mod, neg_mod};
+use ufc_math::plane::RnsPlane;
 use ufc_tfhe::{lwe::sub_scaled_parts, LweCiphertext, TfheContext, TfheKeys};
 
 /// The extraction KSK reorganized digit-major into flat slabs: the row
@@ -149,11 +150,8 @@ impl CkksToLwe {
             level: ct.level as u32,
             count: indices.len() as u32,
         });
-        let ct0 = ev.drop_to_level(ct, 0);
-        let c0 = ct0.c0.to_coeff(ev.context());
-        let c1 = ct0.c1.to_coeff(ev.context());
-        let c0 = c0.limb(0);
-        let c1 = c1.limb(0);
+        let (c0, c1) = level0_coeffs(ev, ct);
+        let (c0, c1) = (c0.limb(0), c1.limb(0));
         let n = c0.len();
         check_indices(indices, n)?;
         Ok(indices
@@ -190,7 +188,7 @@ impl CkksToLwe {
     /// so the only values ever decomposed are `−c1[k]` and `c1[k]` for
     /// the `N` ring positions `k`. This path builds those `2N` digit
     /// tables once, then runs the key-switch accumulation digit-major
-    /// against [`DigitMajorKsk`] with the in-place
+    /// against a digit-major KSK (`DigitMajorKsk`) with the in-place
     /// [`sub_scaled_parts`] kernel — no per-digit ciphertext clones,
     /// and `2N` decompositions total instead of `batch·N`.
     ///
@@ -215,11 +213,8 @@ impl CkksToLwe {
             level: ct.level as u32,
             count: indices.len() as u32,
         });
-        let ct0 = ev.drop_to_level(ct, 0);
-        let c0 = ct0.c0.to_coeff(ev.context());
-        let c1 = ct0.c1.to_coeff(ev.context());
-        let c0 = c0.limb(0);
-        let c1 = c1.limb(0);
+        let (c0, c1) = level0_coeffs(ev, ct);
+        let (c0, c1) = (c0.limb(0), c1.limb(0));
         let n = c0.len();
         check_indices(indices, n)?;
         let q0 = self.q0;
@@ -289,6 +284,16 @@ impl CkksToLwe {
     }
 }
 
+/// The ciphertext's components dropped to level 0 (the single limb
+/// `q_0`) and brought to coefficient form.
+fn level0_coeffs(ev: &CkksEvaluator, ct: &CkksCiphertext) -> (RnsPlane, RnsPlane) {
+    let ct0 = ev.drop_to_level(ct, 0);
+    let (mut c0, mut c1) = (ct0.c0, ct0.c1);
+    ev.context().to_coeff(&mut c0);
+    ev.context().to_coeff(&mut c1);
+    (c0, c1)
+}
+
 /// Validates extraction indices against the ring dimension.
 fn check_indices(indices: &[usize], n: usize) -> Result<(), SwitchError> {
     match indices.iter().find(|&&idx| idx >= n) {
@@ -323,7 +328,7 @@ fn encrypt_lwe_at<R: Rng + ?Sized>(
 /// Encodes integer messages into CKKS *coefficients* at scale
 /// `q_0/space` — the payload layout extraction expects (what
 /// SlotToCoeff produces in a full pipeline).
-pub fn encode_coefficients(ctx: &CkksContext, messages: &[u64], space: u64) -> ufc_ckks::RnsPoly {
+pub fn encode_coefficients(ctx: &CkksContext, messages: &[u64], space: u64) -> RnsPlane {
     let q0 = ctx.q_moduli()[0];
     let delta = q0 / space;
     let signed: Vec<i64> = (0..ctx.n())
@@ -332,7 +337,7 @@ pub fn encode_coefficients(ctx: &CkksContext, messages: &[u64], space: u64) -> u
             (m * delta) as i64
         })
         .collect();
-    ufc_ckks::RnsPoly::from_signed(ctx, &signed, ctx.max_level() + 1).to_eval(ctx)
+    ctx.eval_from_signed(&signed, ctx.max_level() + 1)
 }
 
 #[cfg(test)]

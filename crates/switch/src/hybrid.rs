@@ -8,7 +8,7 @@ use crate::extract::{encode_coefficients, CkksToLwe};
 use rand::Rng;
 use ufc_ckks::{CkksContext, Evaluator as CkksEvaluator, KeySet, SecretKey};
 use ufc_isa::trace::Trace;
-use ufc_math::poly::Poly;
+use ufc_math::plane::RnsPlane;
 use ufc_tfhe::{programmable_bootstrap, TfheContext, TfheKeys};
 
 /// A complete hybrid environment: both schemes' contexts, keys and
@@ -94,7 +94,7 @@ impl HybridEnv {
 
 /// Test vector for the comparator `f(m) = 1 if m ≥ threshold else 0`
 /// over messages `0..space/2`.
-pub fn comparator_test_vector(ctx: &TfheContext, threshold: u64, space: u64) -> Poly {
+pub fn comparator_test_vector(ctx: &TfheContext, threshold: u64, space: u64) -> RnsPlane {
     ufc_tfhe::lut_test_vector(ctx, move |m| u64::from(m >= threshold), space)
 }
 
@@ -125,7 +125,7 @@ mod tests {
         let tv = comparator_test_vector(&ctx, 2, 8);
         assert_eq!(tv.dim(), 64);
         // Low-phase region encodes 0, higher regions encode 1.
-        assert_eq!(ctx.decode(tv.coeffs()[0], 8), 0);
-        assert_eq!(ctx.decode(tv.coeffs()[40], 8), 1);
+        assert_eq!(ctx.decode(tv.limb(0)[0], 8), 0);
+        assert_eq!(ctx.decode(tv.limb(0)[40], 8), 1);
     }
 }

@@ -7,7 +7,7 @@ use crate::keyswitch::key_switch;
 use crate::lwe::LweCiphertext;
 use crate::rlwe::RlweCiphertext;
 use ufc_isa::trace::TraceOp;
-use ufc_math::poly::Poly;
+use ufc_math::plane::{Form, RnsPlane};
 
 /// Builds the test-vector polynomial for a function `f` over a message
 /// space of `space` values.
@@ -15,7 +15,7 @@ use ufc_math::poly::Poly;
 /// Messages must live in the lower half of the space (`m < space/2`);
 /// the upper half is the negacyclic mirror (`f` of mirrored inputs
 /// comes out negated) — the standard TFHE constraint.
-pub fn lut_test_vector<F: Fn(u64) -> u64>(ctx: &TfheContext, f: F, space: u64) -> Poly {
+pub fn lut_test_vector<F: Fn(u64) -> u64>(ctx: &TfheContext, f: F, space: u64) -> RnsPlane {
     let n = ctx.ring_dim();
     let coeffs: Vec<u64> = (0..n)
         .map(|j| {
@@ -24,14 +24,18 @@ pub fn lut_test_vector<F: Fn(u64) -> u64>(ctx: &TfheContext, f: F, space: u64) -
             ctx.encode(f(m % (space / 2)), space)
         })
         .collect();
-    Poly::from_coeffs(coeffs, ctx.q())
+    RnsPlane::from_flat_unchecked(coeffs, &[ctx.q()], Form::Coeff)
 }
 
 /// The constant test vector used by sign-style gate bootstrapping:
 /// every coefficient is `q/8`, so blind rotation outputs `±q/8`
 /// according to the sign of the phase.
-pub fn sign_test_vector(ctx: &TfheContext) -> Poly {
-    Poly::from_coeffs(vec![ctx.encode(1, 8); ctx.ring_dim()], ctx.q())
+pub fn sign_test_vector(ctx: &TfheContext) -> RnsPlane {
+    RnsPlane::from_flat_unchecked(
+        vec![ctx.encode(1, 8); ctx.ring_dim()],
+        &[ctx.q()],
+        Form::Coeff,
+    )
 }
 
 /// Blind rotation: accumulates `tv · X^{−φ̄}` where `φ̄` is the
@@ -41,7 +45,7 @@ pub fn blind_rotate(
     ctx: &TfheContext,
     keys: &TfheKeys,
     ct: &LweCiphertext,
-    tv: &Poly,
+    tv: &RnsPlane,
 ) -> RlweCiphertext {
     let _span = ufc_trace::span_n("tfhe", "blind_rotate", ctx.lwe_dim() as u64);
     let two_n = 2 * ctx.ring_dim();
@@ -68,7 +72,7 @@ pub fn programmable_bootstrap(
     ctx: &TfheContext,
     keys: &TfheKeys,
     ct: &LweCiphertext,
-    tv: &Poly,
+    tv: &RnsPlane,
 ) -> LweCiphertext {
     let _span = ufc_trace::span_n("tfhe", "pbs", ctx.ring_dim() as u64);
     let acc = blind_rotate(ctx, keys, ct, tv);
@@ -81,7 +85,7 @@ pub fn traced_bootstrap(
     ev: &TfheEvaluator,
     keys: &TfheKeys,
     ct: &LweCiphertext,
-    tv: &Poly,
+    tv: &RnsPlane,
 ) -> LweCiphertext {
     ev.record(TraceOp::TfhePbs { batch: 1 });
     let out = {

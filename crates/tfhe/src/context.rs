@@ -5,7 +5,7 @@ use std::sync::Arc;
 use ufc_isa::trace::{Trace, TraceOp};
 use ufc_math::gadget::Gadget;
 use ufc_math::ntt::{NttContext, NttKernel};
-use ufc_math::poly::Poly;
+use ufc_math::plane::{Form, RnsPlane};
 use ufc_math::prime::generate_ntt_prime;
 
 /// Which polynomial-multiplication datapath to use (§VII-D): UFC
@@ -91,12 +91,15 @@ impl TfheContext {
         self.backend
     }
 
-    /// Negacyclic polynomial product through the active datapath.
-    pub fn poly_mul(&self, a: &Poly, b: &Poly) -> Poly {
-        match self.backend {
+    /// Negacyclic product of two one-limb coefficient-form planes
+    /// through the active datapath.
+    pub fn poly_mul(&self, a: &RnsPlane, b: &RnsPlane) -> RnsPlane {
+        let (a, b) = (a.limb(0), b.limb(0));
+        let c = match self.backend {
             MulBackend::Ntt => self.ntt.negacyclic_mul(a, b),
-            MulBackend::Fft => ufc_math::fft::negacyclic_mul_fft(a, b),
-        }
+            MulBackend::Fft => ufc_math::fft::negacyclic_mul_fft(a, b, self.q),
+        };
+        RnsPlane::from_flat_unchecked(c, &[self.q], Form::Coeff)
     }
 
     /// Builds the context for one of the paper's T1–T4 sets.

@@ -40,7 +40,7 @@ mod tests {
     use crate::rlwe::RlweCiphertext;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ufc_math::poly::Poly;
+    use ufc_math::plane::{Form, RnsPlane};
 
     #[test]
     fn key_switch_preserves_message() {
@@ -63,7 +63,11 @@ mod tests {
         let ctx = TfheContext::new(32, 256, 7, 3, 6, 4);
         let mut rng = StdRng::seed_from_u64(52);
         let keys = TfheKeys::generate(&ctx, &mut rng);
-        let m = Poly::from_coeffs((0..256u64).map(|i| ctx.encode(i % 4, 4)).collect(), ctx.q());
+        let m = RnsPlane::from_flat(
+            (0..256u64).map(|i| ctx.encode(i % 4, 4)).collect(),
+            &[ctx.q()],
+            Form::Coeff,
+        );
         let rlwe = RlweCiphertext::encrypt(&ctx, &keys.ring_sk, &m, &mut rng);
         for idx in [0usize, 7, 100] {
             let extracted = rlwe.sample_extract(idx);

@@ -4,7 +4,7 @@
 use crate::context::{MulBackend, TfheContext};
 use crate::rlwe::RlweCiphertext;
 use rand::Rng;
-use ufc_math::poly::Poly;
+use ufc_math::plane::{Form, RnsPlane};
 
 /// An RGSW encryption of a small scalar/monomial `m`: `2·levels` RLWE
 /// rows arranged as `Z + m·G` (§II-A3).
@@ -26,7 +26,7 @@ pub struct RgswCiphertext {
     pub b_rows: Vec<RlweCiphertext>,
     /// Evaluation-form images `[a_row.a, a_row.b, b_row.a, b_row.b]`
     /// per level; empty on the FFT datapath.
-    eval_rows: Vec<[Poly; 4]>,
+    eval_rows: Vec<[RnsPlane; 4]>,
 }
 
 impl RgswCiphertext {
@@ -35,35 +35,39 @@ impl RgswCiphertext {
     pub fn encrypt<R: Rng + ?Sized>(
         ctx: &TfheContext,
         s_signed: &[i64],
-        m: &Poly,
+        m: &RnsPlane,
         rng: &mut R,
     ) -> Self {
         let levels = ctx.gadget().levels();
-        let zero = Poly::zero(ctx.ring_dim(), ctx.q());
+        let zero = RnsPlane::zero(ctx.ring_dim(), &[ctx.q()], Form::Coeff);
         let mut a_rows = Vec::with_capacity(levels);
         let mut b_rows = Vec::with_capacity(levels);
         for l in 0..levels {
-            let w = ctx.gadget().weight(l);
-            let mw = m.scale(w);
+            let mut mw = m.clone();
+            mw.scale_limbs_assign(&[ctx.gadget().weight(l)]);
             // a-row: RLWE(0), then add m·w to the mask.
             let mut row = RlweCiphertext::encrypt(ctx, s_signed, &zero, rng);
-            row.a = row.a.add(&mw);
+            row.a.add_assign(&mw);
             a_rows.push(row);
             // b-row: RLWE(m·w).
             b_rows.push(RlweCiphertext::encrypt(ctx, s_signed, &mw, rng));
         }
         let eval_rows = match ctx.backend() {
             MulBackend::Ntt => {
-                let ntt = ctx.ntt();
+                let to_eval = |p: &RnsPlane| {
+                    let mut e = p.clone();
+                    e.ntt_forward(&[ctx.ntt()]);
+                    e
+                };
                 a_rows
                     .iter()
                     .zip(&b_rows)
                     .map(|(ar, br)| {
                         [
-                            ntt.to_eval(&ar.a),
-                            ntt.to_eval(&ar.b),
-                            ntt.to_eval(&br.a),
-                            ntt.to_eval(&br.b),
+                            to_eval(&ar.a),
+                            to_eval(&ar.b),
+                            to_eval(&br.a),
+                            to_eval(&br.b),
                         ]
                     })
                     .collect()
@@ -85,7 +89,7 @@ impl RgswCiphertext {
         bit: u64,
         rng: &mut R,
     ) -> Self {
-        let m = Poly::monomial(bit, 0, ctx.ring_dim(), ctx.q());
+        let m = RnsPlane::monomial(bit, 0, ctx.ring_dim(), &[ctx.q()]);
         Self::encrypt(ctx, s_signed, &m, rng)
     }
 
@@ -98,25 +102,28 @@ impl RgswCiphertext {
         let g = ctx.gadget();
         let a_digits = g.decompose_poly(&ct.a);
         let b_digits = g.decompose_poly(&ct.b);
-        let mut acc_a = Poly::zero(ctx.ring_dim(), ctx.q());
-        let mut acc_b = Poly::zero(ctx.ring_dim(), ctx.q());
         if ctx.backend() == MulBackend::Ntt {
             // Digit-domain accumulation: forward-transform each digit
             // once, MAC against the cached evaluation-form rows, and
             // invert the two accumulators at the end.
-            let ntt = ctx.ntt();
+            let ntt = [ctx.ntt()];
+            let mut acc_a = RnsPlane::zero(ctx.ring_dim(), &[ctx.q()], Form::Eval);
+            let mut acc_b = acc_a.clone();
             for (l, (mut da, mut db)) in a_digits.into_iter().zip(b_digits).enumerate() {
-                ntt.forward_poly(&mut da);
-                ntt.forward_poly(&mut db);
+                da.ntt_forward(&ntt);
+                db.ntt_forward(&ntt);
                 let [ra_a, ra_b, rb_a, rb_b] = &self.eval_rows[l];
                 acc_a.mac_assign(&da, ra_a);
                 acc_b.mac_assign(&da, ra_b);
                 acc_a.mac_assign(&db, rb_a);
                 acc_b.mac_assign(&db, rb_b);
             }
-            ntt.inverse_poly(&mut acc_a);
-            ntt.inverse_poly(&mut acc_b);
+            acc_a.ntt_inverse(&ntt);
+            acc_b.ntt_inverse(&ntt);
+            RlweCiphertext { a: acc_a, b: acc_b }
         } else {
+            let mut acc_a = RnsPlane::zero(ctx.ring_dim(), &[ctx.q()], Form::Coeff);
+            let mut acc_b = acc_a.clone();
             for l in 0..g.levels() {
                 // digit(a)_l × a_row_l + digit(b)_l × b_row_l through
                 // the FFT datapath (Strix).
@@ -127,8 +134,8 @@ impl RgswCiphertext {
                 acc_b.add_assign(&ctx.poly_mul(da, &self.a_rows[l].b));
                 acc_b.add_assign(&ctx.poly_mul(db, &self.b_rows[l].b));
             }
+            RlweCiphertext { a: acc_a, b: acc_b }
         }
-        RlweCiphertext { a: acc_a, b: acc_b }
     }
 
     /// CMux: returns an encryption of `ct0` if the RGSW bit is 0 and
@@ -158,10 +165,14 @@ mod tests {
         (ctx, s, rng)
     }
 
-    fn phase_error(ctx: &TfheContext, got: &Poly, want: &Poly) -> i64 {
-        got.coeffs()
+    fn plane(coeffs: Vec<u64>, ctx: &TfheContext) -> RnsPlane {
+        RnsPlane::from_flat(coeffs, &[ctx.q()], Form::Coeff)
+    }
+
+    fn phase_error(ctx: &TfheContext, got: &RnsPlane, want: &RnsPlane) -> i64 {
+        got.limb(0)
             .iter()
-            .zip(want.coeffs())
+            .zip(want.limb(0))
             .map(|(&g, &w)| {
                 to_signed(if g >= w { g - w } else { ctx.q() - (w - g) }, ctx.q()).abs()
             })
@@ -172,7 +183,7 @@ mod tests {
     #[test]
     fn external_product_by_one_is_identity() {
         let (ctx, s, mut rng) = setup();
-        let m = Poly::from_coeffs((0..128u64).map(|i| ctx.encode(i % 4, 4)).collect(), ctx.q());
+        let m = plane((0..128u64).map(|i| ctx.encode(i % 4, 4)).collect(), &ctx);
         let ct = RlweCiphertext::encrypt(&ctx, &s, &m, &mut rng);
         let one = RgswCiphertext::encrypt_bit(&ctx, &s, 1, &mut rng);
         let out = one.external_product(&ctx, &ct);
@@ -183,11 +194,11 @@ mod tests {
     #[test]
     fn external_product_by_zero_kills_message() {
         let (ctx, s, mut rng) = setup();
-        let m = Poly::from_coeffs(vec![ctx.encode(1, 2); 128], ctx.q());
+        let m = plane(vec![ctx.encode(1, 2); 128], &ctx);
         let ct = RlweCiphertext::encrypt(&ctx, &s, &m, &mut rng);
         let zero = RgswCiphertext::encrypt_bit(&ctx, &s, 0, &mut rng);
         let out = zero.external_product(&ctx, &ct);
-        let z = Poly::zero(128, ctx.q());
+        let z = RnsPlane::zero(128, &[ctx.q()], Form::Coeff);
         let err = phase_error(&ctx, &out.phase(&ctx, &s), &z);
         assert!(err < (ctx.q() / 64) as i64, "err = {err}");
     }
@@ -195,9 +206,9 @@ mod tests {
     #[test]
     fn external_product_by_monomial_rotates() {
         let (ctx, s, mut rng) = setup();
-        let m = Poly::monomial(ctx.encode(1, 4), 0, 128, ctx.q());
+        let m = RnsPlane::monomial(ctx.encode(1, 4), 0, 128, &[ctx.q()]);
         let ct = RlweCiphertext::encrypt(&ctx, &s, &m, &mut rng);
-        let x3 = Poly::monomial(1, 3, 128, ctx.q());
+        let x3 = RnsPlane::monomial(1, 3, 128, &[ctx.q()]);
         let rgsw = RgswCiphertext::encrypt(&ctx, &s, &x3, &mut rng);
         let out = rgsw.external_product(&ctx, &ct);
         let expect = m.rotate_monomial(3);
@@ -208,8 +219,8 @@ mod tests {
     #[test]
     fn cmux_selects() {
         let (ctx, s, mut rng) = setup();
-        let m0 = Poly::from_coeffs(vec![ctx.encode(0, 4); 128], ctx.q());
-        let m1 = Poly::from_coeffs(vec![ctx.encode(1, 4); 128], ctx.q());
+        let m0 = plane(vec![ctx.encode(0, 4); 128], &ctx);
+        let m1 = plane(vec![ctx.encode(1, 4); 128], &ctx);
         let ct0 = RlweCiphertext::encrypt(&ctx, &s, &m0, &mut rng);
         let ct1 = RlweCiphertext::encrypt(&ctx, &s, &m1, &mut rng);
         for bit in [0u64, 1] {

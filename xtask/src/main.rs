@@ -15,23 +15,26 @@
 //!   slices and track-name metadata, every JSONL line parses, and the
 //!   JSON summary has the host metrics block.
 //! * `bench-math [--quick]` — build the release `bench_math` harness,
-//!   run it writing `BENCH_math.json` at the workspace root, and
-//!   validate the report shape (experiment tag, numeric headline
-//!   speedup, non-empty tables, host topology block).
+//!   run it writing `BENCH_math.json`, and validate the report shape
+//!   (experiment tag, numeric headline speedup, non-empty tables, host
+//!   topology block).
 //! * `bench-switch [--quick]` — build the release `bench_switch`
-//!   harness, run it writing `BENCH_switch.json` at the workspace
-//!   root, and validate the report shape (experiment tag, `extract`
-//!   and `repack` tables each carrying the batch-size axis, host
-//!   topology block, O(√n) rotation-key headline).
+//!   harness, run it writing `BENCH_switch.json`, and validate the
+//!   report shape (experiment tag, `extract` and `repack` tables each
+//!   carrying the batch-size axis, host topology block, O(√n)
+//!   rotation-key headline).
 //! * `bench-sha256 [--quick]` — build the release `bench_sha256`
-//!   harness, run it writing `BENCH_sha256.json` at the workspace
-//!   root, and validate the report: `circuit`/`sim`/`host` tables,
-//!   host topology block, and the headline claims — the prefix
+//!   harness, run it writing `BENCH_sha256.json`, and validate the
+//!   report: `circuit`/`sim`/`host` tables, host topology block, and the headline claims — the prefix
 //!   adder's critical path strictly shorter than ripple's, its PLP
 //!   utilization strictly higher, and the homomorphic digests
 //!   matching the plaintext reference. The structural claims are
 //!   deterministic simulator outputs, so they gate `--quick` runs
 //!   too.
+//!
+//! The bench commands write their report at the workspace root, where
+//! the committed `BENCH_*.json` lives, only on a full run; `--quick`
+//! smoke runs write it under `target/` instead.
 
 #![forbid(unsafe_code)]
 
@@ -548,58 +551,61 @@ fn trace_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the release `bench_math` harness, runs it writing
-/// `BENCH_math.json` at the workspace root, and validates the report
-/// shape — the same contract the CI bench-smoke job enforces.
-fn bench_math(quick: bool) -> ExitCode {
+/// Builds the release `bin` harness of `ufc-bench`, runs it, and
+/// returns its parsed JSON report, after checking the `experiment`
+/// tag, with the path it was written to.
+///
+/// A full run replaces the committed `report` file at the workspace
+/// root; a `--quick` smoke run writes `target/<report>` instead, so
+/// its small-size numbers never overwrite the committed measurement.
+fn run_bench(bin: &str, report: &str, quick: bool) -> Result<(serde::Value, PathBuf), ExitCode> {
+    let task = format!("xtask {}", bin.replace('_', "-"));
+    let fail = |msg: String| {
+        eprintln!("{task}: {msg}");
+        ExitCode::FAILURE
+    };
     let root = workspace_root();
-    if !cargo(&[
-        "build",
-        "-q",
-        "--release",
-        "-p",
-        "ufc-bench",
-        "--bin",
-        "bench_math",
-    ]) {
-        eprintln!("xtask bench-math: building bench_math failed");
-        return ExitCode::FAILURE;
+    if !cargo(&["build", "-q", "--release", "-p", "ufc-bench", "--bin", bin]) {
+        return Err(fail(format!("building {bin} failed")));
     }
-    let out = root.join("BENCH_math.json");
-    let bin = root.join("target/release/bench_math");
-    let mut cmd = Command::new(&bin);
+    let out = if quick {
+        root.join("target").join(report)
+    } else {
+        root.join(report)
+    };
+    let exe = root.join("target/release").join(bin);
+    let mut cmd = Command::new(&exe);
     cmd.arg("--out").arg(&out);
     if quick {
         cmd.arg("--quick");
     }
     println!(
         "+ {} --out {}{}",
-        bin.display(),
+        exe.display(),
         out.display(),
         if quick { " --quick" } else { "" }
     );
     if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-math: bench_math failed");
-        return ExitCode::FAILURE;
+        return Err(fail(format!("{bin} failed")));
     }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-math: {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-math: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_math") {
-        eprintln!("xtask bench-math: report is missing `experiment: \"bench_math\"`");
-        return ExitCode::FAILURE;
+    let text =
+        std::fs::read_to_string(&out).map_err(|e| fail(format!("{}: {e}", out.display())))?;
+    let value: serde::Value =
+        serde_json::from_str(&text).map_err(|e| fail(format!("report is not valid JSON: {e}")))?;
+    if value.get("experiment").and_then(serde::Value::as_str) != Some(bin) {
+        return Err(fail(format!("report is missing `experiment: \"{bin}\"`")));
     }
+    Ok((value, out))
+}
+
+/// Runs the `bench_math` harness (see [`run_bench`] for where the
+/// report lands) and validates the report shape — the same contract
+/// the CI bench-smoke job enforces.
+fn bench_math(quick: bool) -> ExitCode {
+    let (report, out) = match run_bench("bench_math", "BENCH_math.json", quick) {
+        Ok(ran) => ran,
+        Err(code) => return code,
+    };
     let speedup = report
         .get("headline")
         .and_then(|h| h.get("speedup"))
@@ -853,58 +859,14 @@ fn bench_math(quick: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the release `bench_switch` harness, runs it writing
-/// `BENCH_switch.json` at the workspace root, and validates the report
-/// shape — the same contract the CI bench-switch smoke job enforces.
+/// Runs the `bench_switch` harness (see [`run_bench`] for where the
+/// report lands) and validates the report shape — the same contract
+/// the CI bench-switch smoke job enforces.
 fn bench_switch(quick: bool) -> ExitCode {
-    let root = workspace_root();
-    if !cargo(&[
-        "build",
-        "-q",
-        "--release",
-        "-p",
-        "ufc-bench",
-        "--bin",
-        "bench_switch",
-    ]) {
-        eprintln!("xtask bench-switch: building bench_switch failed");
-        return ExitCode::FAILURE;
-    }
-    let out = root.join("BENCH_switch.json");
-    let bin = root.join("target/release/bench_switch");
-    let mut cmd = Command::new(&bin);
-    cmd.arg("--out").arg(&out);
-    if quick {
-        cmd.arg("--quick");
-    }
-    println!(
-        "+ {} --out {}{}",
-        bin.display(),
-        out.display(),
-        if quick { " --quick" } else { "" }
-    );
-    if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-switch: bench_switch failed");
-        return ExitCode::FAILURE;
-    }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-switch: {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
+    let (report, out) = match run_bench("bench_switch", "BENCH_switch.json", quick) {
+        Ok(ran) => ran,
+        Err(code) => return code,
     };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-switch: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_switch") {
-        eprintln!("xtask bench-switch: report is missing `experiment: \"bench_switch\"`");
-        return ExitCode::FAILURE;
-    }
     // Both boundary directions must report, and every row must carry
     // the batch-size axis — a report without it cannot answer the
     // question the fast path exists for (how throughput scales with
@@ -1006,9 +968,8 @@ fn bench_switch(quick: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the release `bench_sha256` harness, runs it writing
-/// `BENCH_sha256.json` at the workspace root, and validates the
-/// report — including the experiment's acceptance claims: the
+/// Runs the `bench_sha256` harness (see [`run_bench`] for where the
+/// report lands) and validates the report — including the experiment's acceptance claims: the
 /// parallel-prefix circuit must have a strictly shorter bootstrap
 /// critical path AND strictly higher PLP utilization than
 /// ripple-carry on the same block, and every homomorphic digest must
@@ -1016,54 +977,10 @@ fn bench_switch(quick: bool) -> ExitCode {
 /// deterministic pipelines (circuit generator, compiler, scheduler,
 /// seeded host run), so they gate `--quick` smoke runs too.
 fn bench_sha256(quick: bool) -> ExitCode {
-    let root = workspace_root();
-    if !cargo(&[
-        "build",
-        "-q",
-        "--release",
-        "-p",
-        "ufc-bench",
-        "--bin",
-        "bench_sha256",
-    ]) {
-        eprintln!("xtask bench-sha256: building bench_sha256 failed");
-        return ExitCode::FAILURE;
-    }
-    let out = root.join("BENCH_sha256.json");
-    let bin = root.join("target/release/bench_sha256");
-    let mut cmd = Command::new(&bin);
-    cmd.arg("--out").arg(&out);
-    if quick {
-        cmd.arg("--quick");
-    }
-    println!(
-        "+ {} --out {}{}",
-        bin.display(),
-        out.display(),
-        if quick { " --quick" } else { "" }
-    );
-    if !cmd.status().map(|s| s.success()).unwrap_or(false) {
-        eprintln!("xtask bench-sha256: bench_sha256 failed");
-        return ExitCode::FAILURE;
-    }
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench-sha256: {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
+    let (report, out) = match run_bench("bench_sha256", "BENCH_sha256.json", quick) {
+        Ok(ran) => ran,
+        Err(code) => return code,
     };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask bench-sha256: report is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("experiment").and_then(serde::Value::as_str) != Some("bench_sha256") {
-        eprintln!("xtask bench-sha256: report is missing `experiment: \"bench_sha256\"`");
-        return ExitCode::FAILURE;
-    }
     // Every layer must report, and every row must carry the adder
     // axis — a table that cannot say which adder produced it cannot
     // answer the depth-vs-gates question the workload exists to
